@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check build vet staticcheck test race fuzz-smoke bench-smoke bench motifd-smoke cluster-smoke recovery-smoke pipeline-smoke qos-smoke ha-smoke motif-jobs-smoke bench-cluster bench-memo bench-kernel bench-gate bench-slo
+.PHONY: ci fmt-check build vet staticcheck test perfbench-check race fuzz-smoke bench-smoke bench motifd-smoke cluster-smoke recovery-smoke pipeline-smoke qos-smoke ha-smoke motif-jobs-smoke bench-cluster bench-memo bench-kernel bench-gate bench-slo
 
-ci: fmt-check build vet staticcheck test race fuzz-smoke bench-smoke motifd-smoke cluster-smoke recovery-smoke pipeline-smoke qos-smoke ha-smoke motif-jobs-smoke bench-gate
+ci: fmt-check build vet staticcheck test perfbench-check race fuzz-smoke bench-smoke motifd-smoke cluster-smoke recovery-smoke pipeline-smoke qos-smoke ha-smoke motif-jobs-smoke bench-gate
 	@echo "ci: all steps passed"
 
 fmt-check:
@@ -34,6 +34,12 @@ staticcheck:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own module (./... skips it); vet and short-test it
+# because it compiles against the serve and cluster APIs.
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test -short .
 
 race:
 	$(GO) test -race ./internal/memo/... ./internal/memoshare/... ./internal/skel/... ./internal/motifs/... ./internal/serve/... ./internal/cluster/... ./internal/store/... ./internal/bio/... ./internal/qos/... ./internal/jobs/...

@@ -316,18 +316,6 @@ func BenchmarkSkeletonParReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkSkeletonParScan times the two-phase parallel prefix sum.
-func BenchmarkSkeletonParScan(b *testing.B) {
-	xs := make([]int64, 1_000_000)
-	for i := range xs {
-		xs[i] = int64(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		skel.ParScan(xs, 0, func(a, x int64) int64 { return a + x }, 8)
-	}
-}
-
 // BenchmarkSchedulerStrand times the scheduler motif on the simulator.
 func BenchmarkSchedulerStrand(b *testing.B) {
 	var tasks []term.Term

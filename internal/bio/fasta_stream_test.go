@@ -168,9 +168,11 @@ func TestScanFASTABoundedMemory(t *testing.T) {
 		t.Skip("memory probe")
 	}
 	// Stream ~32 MB of FASTA through the scanner; since each record is
-	// dropped after inspection, the heap must stay O(one record), not
-	// O(stream). The bound is generous (4 MB over baseline for a 32 MB
-	// stream) to stay robust against allocator noise.
+	// dropped after inspection, the live heap must stay O(one record), not
+	// O(stream). Each probe collects first, so it reads what the scanner
+	// retains rather than garbage the GC has not swept yet (HeapAlloc alone
+	// measures GC pacing). The bound is generous (4 MB over baseline for a
+	// 32 MB stream) to stay robust against allocator noise.
 	const records, seqLen = 8192, 4096 // ~34 MB of sequence data
 	runtime.GC()
 	var before runtime.MemStats
@@ -184,6 +186,7 @@ func TestScanFASTABoundedMemory(t *testing.T) {
 		count++
 		total += len(rec.Raw)
 		if count%1024 == 0 {
+			runtime.GC()
 			var m runtime.MemStats
 			runtime.ReadMemStats(&m)
 			if m.HeapAlloc > peak {

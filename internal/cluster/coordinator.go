@@ -12,8 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bio"
-	"repro/internal/jobs"
 	"repro/internal/memo"
 	"repro/internal/memoshare"
 	"repro/internal/metrics"
@@ -166,16 +164,10 @@ type Coordinator struct {
 	draining   atomic.Bool
 	pending    atomic.Int64
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string
-	byClient map[string]string // client request ID → job id (idempotent resubmission)
-	// byContent maps a job's content digest to its id while the job is
-	// live: concurrent submissions of identical work collapse onto one
-	// placement instead of shipping twice. Entries retire when the job
-	// reaches a terminal state.
-	byContent map[memo.Key]string
-	nextID    int64
+	// mu guards the ledger: job history, client-id dedup, and (with
+	// MemoCollapse) the collapse of identical work onto one live placement.
+	mu     sync.Mutex
+	ledger serve.Ledger[*Job]
 }
 
 // Shed and drain sentinels for the transport-independent Submit.
@@ -217,15 +209,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:       cfg,
-		met:       newCoordMetrics(),
-		ring:      trace.NewRing(cfg.TraceCap),
-		ctx:       ctx,
-		stop:      stop,
-		jobs:      make(map[string]*Job),
-		byClient:  make(map[string]string),
-		byContent: make(map[memo.Key]string),
-		memoIdx:   newMemoIndex(cfg.MemoIndexCap),
+		cfg:     cfg,
+		met:     newCoordMetrics(),
+		ring:    trace.NewRing(cfg.TraceCap),
+		ctx:     ctx,
+		stop:    stop,
+		ledger:  serve.NewLedger("c", cfg.MaxJobs, (*Job).live),
+		memoIdx: newMemoIndex(cfg.MemoIndexCap),
 	}
 	c.sched = qos.New(qos.Options{
 		Capacity:    cfg.PendingCap,
@@ -329,11 +319,6 @@ type Job struct {
 	submitted time.Time
 	deadline  time.Time
 
-	// key is the job's content digest (identity-excluded); hasKey is false
-	// for request shapes with no canonical encoding.
-	key    memo.Key
-	hasKey bool
-
 	mu          sync.Mutex
 	state       serve.State
 	workerID    string
@@ -342,7 +327,7 @@ type Job struct {
 	excluded    map[string]bool
 	shipped     time.Time // most recent successful placement
 	finished    time.Time
-	result      *serve.JobStatus // terminal status fetched from the worker
+	res         serve.Results // result block of the worker's terminal status
 	errMsg      string
 	// decision is the job's harvested mid-flight commitment (e.g. a
 	// FirstOnly search's shortcircuit winner), copied off the worker's
@@ -354,7 +339,7 @@ type Job struct {
 
 // JobView is the JSON view of a cluster job: the local serving layer's
 // status shape (so existing pollers work unchanged) plus the cluster
-// placement fields.
+// placement fields. Its result block is the worker's, verbatim.
 type JobView struct {
 	ID    string        `json:"id"`
 	Type  serve.JobType `json:"type"`
@@ -371,12 +356,7 @@ type JobView struct {
 	QueueMillis float64 `json:"queue_ms"`
 	RunMillis   float64 `json:"run_ms"`
 
-	Align  *bio.AlignJobResult `json:"align,omitempty"`
-	Tree   *serve.TreeResult   `json:"tree,omitempty"`
-	Strand *serve.StrandResult `json:"strand,omitempty"`
-	Search *jobs.SearchResult  `json:"search,omitempty"`
-	Grid   *jobs.GridResult    `json:"grid,omitempty"`
-	Sort   *jobs.SortResult    `json:"sort,omitempty"`
+	serve.Results
 
 	// Decision is the job's harvested mid-flight commitment, if any —
 	// durable at the coordinator even if the worker that made it dies.
@@ -396,6 +376,8 @@ func (j *Job) View() JobView {
 		Class:    j.req.Class,
 		WorkerID: j.workerID,
 		Attempts: j.attempts,
+		Results:  j.res,
+		Decision: j.decision,
 	}
 	now := time.Now()
 	switch {
@@ -412,39 +394,25 @@ func (j *Job) View() JobView {
 			v.QueueMillis = msOf(j.finished.Sub(j.submitted))
 		}
 	}
-	if j.result != nil {
-		v.Align = j.result.Align
-		v.Tree = j.result.Tree
-		v.Strand = j.result.Strand
-		v.Search = j.result.Search
-		v.Grid = j.result.Grid
-		v.Sort = j.result.Sort
-	}
-	v.Decision = j.decision
 	return v
 }
 
 func msOf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// liveLocked reports whether the job is still queued or running. It takes
-// j.mu; callers holding c.mu may call it (c.mu → j.mu is the established
-// lock order, as in evictLocked).
-func (j *Job) liveLocked() bool {
+// live reports whether the job is still queued or running. It takes j.mu;
+// callers holding c.mu may call it (c.mu → j.mu is the established lock
+// order).
+func (j *Job) live() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state == serve.StateQueued || j.state == serve.StateRunning
 }
 
-// retireContent drops the job's in-flight content-digest entry; called on
-// every terminal transition so byContent only ever names live jobs.
-func (c *Coordinator) retireContent(j *Job) {
-	if !j.hasKey {
-		return
-	}
+// releaseContent drops the job's in-flight content-digest binding; called
+// on every terminal transition so collapse only ever finds live jobs.
+func (c *Coordinator) releaseContent(j *Job) {
 	c.mu.Lock()
-	if c.byContent[j.key] == j.id {
-		delete(c.byContent, j.key)
-	}
+	c.ledger.ReleaseContent(j.id)
 	c.mu.Unlock()
 }
 
@@ -498,54 +466,32 @@ func (c *Coordinator) Submit(req serve.JobRequest) (*Job, error) {
 		req:       req,
 		body:      body,
 		submitted: now,
-		deadline:  now.Add(c.timeoutFor(req)),
-		key:       key,
-		hasKey:    hasKey,
+		deadline:  now.Add(serve.TimeoutFor(&req, c.cfg.DefaultTimeout, c.cfg.MaxTimeout)),
 		state:     serve.StateQueued,
 		excluded:  make(map[string]bool),
 	}
 	c.mu.Lock()
-	if req.ID != "" {
-		if id, ok := c.byClient[req.ID]; ok {
-			if prev, ok := c.jobs[id]; ok {
-				// Idempotent resubmission: same client request ID, same job.
-				c.mu.Unlock()
-				c.pending.Add(-1)
-				c.met.deduped.Add(1)
-				return prev, nil
-			}
-		}
+	if prev, ok := c.ledger.Dedup(req.ID); ok {
+		// Idempotent resubmission: same client request ID, same job.
+		c.mu.Unlock()
+		c.pending.Add(-1)
+		c.met.deduped.Add(1)
+		return prev, nil
 	}
 	if hasKey {
-		if id, ok := c.byContent[key]; ok {
-			if prev, ok := c.jobs[id]; ok && prev.liveLocked() {
-				// Identical work already in flight: collapse onto it rather
-				// than shipping the same computation twice. The second
-				// client polls the same job id.
-				if req.ID != "" {
-					c.byClient[req.ID] = prev.id
-				}
-				c.mu.Unlock()
-				c.pending.Add(-1)
-				c.met.collapsed.Add(1)
-				c.emit(trace.Event{Cycle: c.met.sinceMicros(), Kind: trace.KindMemoCollapse,
-					Proc: -1, From: -1, Label: key.Short()})
-				return prev, nil
-			}
-			delete(c.byContent, key)
+		if prev, ok := c.ledger.Collapse(key, req.ID); ok {
+			// Identical work already in flight: collapse onto it rather
+			// than shipping the same computation twice. The second client
+			// polls the same job id.
+			c.mu.Unlock()
+			c.pending.Add(-1)
+			c.met.collapsed.Add(1)
+			c.emit(trace.Event{Cycle: c.met.sinceMicros(), Kind: trace.KindMemoCollapse,
+				Proc: -1, From: -1, Label: key.Short()})
+			return prev, nil
 		}
 	}
-	c.nextID++
-	j.id = fmt.Sprintf("c%06d", c.nextID)
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	if req.ID != "" {
-		c.byClient[req.ID] = j.id
-	}
-	if hasKey {
-		c.byContent[key] = j.id
-	}
-	c.evictLocked()
+	j.id = c.ledger.Admit(j, req.ID, key, hasKey)
 	c.mu.Unlock()
 
 	// Durable before acknowledged: the accept record (carrying the verbatim
@@ -586,11 +532,8 @@ func (c *Coordinator) retire(j *Job, state serve.State, msg string) {
 	j.errMsg = msg
 	j.finished = time.Now()
 	j.mu.Unlock()
-	c.retireContent(j)
 	c.mu.Lock()
-	if j.req.ID != "" && c.byClient[j.req.ID] == j.id {
-		delete(c.byClient, j.req.ID)
-	}
+	c.ledger.Release(j.id)
 	c.mu.Unlock()
 	_ = c.cfg.Store.Failed(j.id, msg)
 	c.pending.Add(-1)
@@ -606,32 +549,11 @@ func (c *Coordinator) preempt(j *Job) {
 	c.jobsWG.Done()
 }
 
-// evictLocked trims finished jobs beyond the history bound; c.mu held.
-func (c *Coordinator) evictLocked() {
-	for len(c.order) > c.cfg.MaxJobs {
-		old := c.jobs[c.order[0]]
-		if old != nil {
-			old.mu.Lock()
-			live := old.state == serve.StateQueued || old.state == serve.StateRunning
-			old.mu.Unlock()
-			if live {
-				break
-			}
-			if old.req.ID != "" && c.byClient[old.req.ID] == c.order[0] {
-				delete(c.byClient, old.req.ID)
-			}
-			delete(c.jobs, c.order[0])
-		}
-		c.order = c.order[1:]
-	}
-}
-
 // Job returns the job with the given id, if still in the history window.
 func (c *Coordinator) Job(id string) (*Job, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
+	return c.ledger.Get(id)
 }
 
 // Metrics snapshots the coordinator metrics.
@@ -643,19 +565,6 @@ func (c *Coordinator) Metrics() MetricsSnapshot {
 		snap.MemoIndex = &idx
 	}
 	return snap
-}
-
-// timeoutFor is the cluster lifetime granted to one request: its deadline
-// if it carries one (capped by MaxTimeout), the default otherwise.
-func (c *Coordinator) timeoutFor(req serve.JobRequest) time.Duration {
-	timeout := c.cfg.DefaultTimeout
-	if req.DeadlineMillis > 0 {
-		timeout = time.Duration(req.DeadlineMillis) * time.Millisecond
-		if timeout > c.cfg.MaxTimeout {
-			timeout = c.cfg.MaxTimeout
-		}
-	}
-	return timeout
 }
 
 // emit writes one event to the trace ring.
@@ -813,23 +722,14 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	ids := append([]string(nil), c.order...)
-	c.mu.Unlock()
-	sort.Sort(sort.Reverse(sort.StringSlice(ids)))
 	const maxList = 100
-	if len(ids) > maxList {
-		ids = ids[:maxList]
-	}
-	out := make([]JobView, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := c.Job(id); ok {
-			v := j.View()
-			// The list view is a summary; drop result payloads.
-			v.Align, v.Tree, v.Strand = nil, nil, nil
-			v.Search, v.Grid, v.Sort = nil, nil, nil
-			out = append(out, v)
-		}
+	c.mu.Lock()
+	recent := c.ledger.Newest(maxList)
+	c.mu.Unlock()
+	out := make([]JobView, len(recent))
+	for i, j := range recent {
+		out[i] = j.View()
+		out[i].Results = serve.Results{} // the list view is a summary
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }

@@ -17,10 +17,6 @@ import (
 func (c *Coordinator) recoverFromStore() {
 	now := time.Now()
 	for _, js := range c.cfg.Store.Jobs() {
-		var n int64
-		if parseClusterID(js.ID, &n) && n > c.nextID {
-			c.nextID = n
-		}
 		var req serve.JobRequest
 		if err := json.Unmarshal(js.Request, &req); err != nil || req.Validate() != nil {
 			// The journaled request no longer decodes (e.g. written by a
@@ -28,6 +24,7 @@ func (c *Coordinator) recoverFromStore() {
 			if !js.Status.Terminal() {
 				_ = c.cfg.Store.Failed(js.ID, "unrecoverable journaled request")
 			}
+			c.ledger.Seen(js.ID)
 			continue
 		}
 		j := &Job{
@@ -42,9 +39,11 @@ func (c *Coordinator) recoverFromStore() {
 		case store.StatusDone:
 			j.state = serve.StateDone
 			j.finished = now
+			// The done record is the worker's status; its result block is
+			// the job's.
 			var st serve.JobStatus
 			if json.Unmarshal(js.Result, &st) == nil {
-				j.result = &st
+				j.res = st.Results
 			}
 		case store.StatusFailed:
 			j.state = serve.StateError
@@ -55,7 +54,7 @@ func (c *Coordinator) recoverFromStore() {
 			// clean attempt budget — whatever the old process had in flight
 			// died with it.
 			j.state = serve.StateQueued
-			j.deadline = now.Add(c.timeoutFor(req))
+			j.deadline = now.Add(serve.TimeoutFor(&req, c.cfg.DefaultTimeout, c.cfg.MaxTimeout))
 			// Unless the old process already harvested a decision record:
 			// then the outcome is committed and run() completes from it
 			// without ever re-placing (standby takeover rides this path too).
@@ -66,32 +65,11 @@ func (c *Coordinator) recoverFromStore() {
 				}
 			}
 		}
-		c.jobs[j.id] = j
-		c.order = append(c.order, j.id)
-		if js.Client != "" {
-			c.byClient[js.Client] = j.id
-		}
+		c.ledger.Restore(j.id, j, js.Client)
 		if !js.Status.Terminal() {
 			c.pending.Add(1)
 			c.jobsWG.Add(1)
 			go c.run(j)
 		}
 	}
-}
-
-// parseClusterID extracts the numeric part of a coordinator job id like
-// "c000042".
-func parseClusterID(id string, n *int64) bool {
-	if len(id) < 2 || id[0] != 'c' {
-		return false
-	}
-	var v int64
-	for _, r := range id[1:] {
-		if r < '0' || r > '9' {
-			return false
-		}
-		v = v*10 + int64(r-'0')
-	}
-	*n = v
-	return true
 }

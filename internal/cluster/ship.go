@@ -304,7 +304,7 @@ func (c *Coordinator) completeFromDecision(j *Job) bool {
 		ID:       j.id,
 		Type:     j.req.Type,
 		State:    serve.StateDone,
-		Search:   res,
+		Results:  serve.Results{Search: res},
 		Decision: note,
 	}
 	c.finish(j, st)
@@ -327,9 +327,9 @@ func (c *Coordinator) finish(j *Job, st *serve.JobStatus) {
 	j.mu.Lock()
 	j.state = serve.StateDone
 	j.finished = time.Now()
-	j.result = st
+	j.res = st.Results
 	j.mu.Unlock()
-	c.retireContent(j)
+	c.releaseContent(j)
 	if c.cfg.Store != nil {
 		if data, err := json.Marshal(st); err == nil {
 			_ = c.cfg.Store.Done(j.id, data)
@@ -348,7 +348,7 @@ func (c *Coordinator) fail(j *Job, msg string) {
 	j.errMsg = msg
 	j.finished = time.Now()
 	j.mu.Unlock()
-	c.retireContent(j)
+	c.releaseContent(j)
 	if c.ctx.Err() == nil {
 		_ = c.cfg.Store.Failed(j.id, msg)
 	}

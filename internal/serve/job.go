@@ -193,13 +193,7 @@ type Job struct {
 	finished  time.Time
 	worker    int
 	batchSize int
-	align     *bio.AlignJobResult
-	tree      *TreeResult
-	strand    *StrandResult
-	pipe      *pipeline.Result
-	search    *jobs.SearchResult
-	grid      *jobs.GridResult
-	sortRes   *jobs.SortResult
+	res       Results
 	// decision is the mid-flight commitment this job journaled (e.g. the
 	// shortcircuit winner), surfaced on the status while the job is still
 	// running so the cluster coordinator can harvest it before a worker dies.
@@ -234,6 +228,20 @@ type JobStatus struct {
 	Tenant string `json:"tenant,omitempty"`
 	Class  string `json:"class,omitempty"`
 
+	Results
+
+	// Decision is the job's journaled mid-flight commitment, if any. It is
+	// visible while the job is still running — that is the point: a poller
+	// (the cluster coordinator) can make the commitment durable on its side
+	// before this worker finishes or dies, and a retry then honors it.
+	Decision *DecisionNote `json:"decision,omitempty"`
+}
+
+// Results is a job's result block: on a finished job, the pointer named
+// after its type is set. It is the one shape behind motifd's JobStatus,
+// motifctl's JobView, the job-level memo payload and the WAL done record;
+// embedded in the first two, its keys sit in place in the JSON body.
+type Results struct {
 	Align    *bio.AlignJobResult `json:"align,omitempty"`
 	Tree     *TreeResult         `json:"tree,omitempty"`
 	Strand   *StrandResult       `json:"strand,omitempty"`
@@ -241,12 +249,6 @@ type JobStatus struct {
 	Search   *jobs.SearchResult  `json:"search,omitempty"`
 	Grid     *jobs.GridResult    `json:"grid,omitempty"`
 	Sort     *jobs.SortResult    `json:"sort,omitempty"`
-
-	// Decision is the job's journaled mid-flight commitment, if any. It is
-	// visible while the job is still running — that is the point: a poller
-	// (the cluster coordinator) can make the commitment durable on its side
-	// before this worker finishes or dies, and a retry then honors it.
-	Decision *DecisionNote `json:"decision,omitempty"`
 }
 
 // DecisionNote is the status view of a journaled decision record.
@@ -267,13 +269,7 @@ func (j *Job) Status() JobStatus {
 		BatchSize: j.batchSize,
 		Tenant:    j.req.Tenant,
 		Class:     j.req.Class,
-		Align:     j.align,
-		Tree:      j.tree,
-		Strand:    j.strand,
-		Pipeline:  j.pipe,
-		Search:    j.search,
-		Grid:      j.grid,
-		Sort:      j.sortRes,
+		Results:   j.res,
 		Decision:  j.decision,
 	}
 	if j.err != nil {
@@ -298,6 +294,13 @@ func (j *Job) Status() JobStatus {
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// live reports whether the job is still queued or running.
+func (j *Job) live() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state == StateQueued || j.state == StateRunning
+}
 
 // Validate normalizes the request in place and rejects malformed specs up
 // front, so admission failures are 400s rather than queued errors. It is
@@ -433,12 +436,12 @@ func treeShape(s string) (workload.TreeShape, error) {
 }
 
 // execute runs the job body under its context and the given skeleton
-// options; it is called on a pool worker. A non-nil cache memoizes
-// subtree values inside align and tree reductions, so warm runs skip
-// already-computed subtrees even across different jobs. penv is the host
-// environment for pipeline jobs, menv the hook environment for the motif
-// job types (nil otherwise).
-func (j *Job) execute(opts skel.ReduceOptions, cache *memo.Cache, penv *pipeline.Env, menv *jobs.Env) (err error) {
+// options and returns its result block; it is called on a pool worker. A
+// non-nil cache memoizes subtree values inside align and tree reductions,
+// so warm runs skip already-computed subtrees even across different jobs.
+// penv is the host environment for pipeline jobs, menv the hook
+// environment for the motif job types (nil otherwise).
+func (j *Job) execute(opts skel.ReduceOptions, cache *memo.Cache, penv *pipeline.Env, menv *jobs.Env) (res Results, err error) {
 	defer func() {
 		// A panic in an eval function (e.g. on a corrupt intermediate
 		// alignment) must fail the job, not the daemon.
@@ -447,94 +450,64 @@ func (j *Job) execute(opts skel.ReduceOptions, cache *memo.Cache, penv *pipeline
 		}
 	}()
 	if j.testBody != nil {
-		return j.testBody(j.ctx)
+		return res, j.testBody(j.ctx)
 	}
 	switch j.req.Type {
 	case JobAlign:
-		res, err := j.req.Align.RunMemo(j.ctx, opts, cache)
-		if err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.align = res
-		j.mu.Unlock()
-		return nil
+		res.Align, err = j.req.Align.RunMemo(j.ctx, opts, cache)
 	case JobTree:
-		spec := j.req.Tree
-		shape, err := treeShape(spec.Shape)
-		if err != nil {
-			return err
-		}
-		tree := workload.SkelTree(workload.IntTree(spec.Leaves, shape, spec.Seed))
-		eval := intEval
-		if spec.NodeCostMicros > 0 {
-			cost := time.Duration(spec.NodeCostMicros) * time.Microsecond
-			eval = func(op string, l, r int64) int64 {
-				time.Sleep(cost)
-				return intEval(op, l, r)
-			}
-		}
-		if cache != nil {
-			skel.Memoize[int64](&opts, cache, skel.TreeDigests(tree, intLeafDigest),
-				func(int64) int64 { return 8 })
-		}
-		val, stats, err := skel.TreeReduce(j.ctx, tree, eval, opts)
-		if err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.tree = &TreeResult{
-			Value:         val,
-			Leaves:        spec.Leaves,
-			Units:         stats.TotalUnits(),
-			CrossMessages: stats.CrossMessages,
-			Imbalance:     stats.Imbalance(),
-			ResumedNodes:  stats.CheckpointHits,
-			MemoNodes:     stats.MemoHits,
-		}
-		j.mu.Unlock()
-		return nil
+		res.Tree, err = runTree(j.ctx, j.req.Tree, opts, cache)
 	case JobStrand:
-		return j.executeStrand()
+		res.Strand, err = runStrand(j.ctx, j.req.Strand)
 	case JobPipeline:
-		res, err := pipeline.Run(j.ctx, j.req.Pipeline, penv)
-		if err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.pipe = res
-		j.mu.Unlock()
-		return nil
+		res.Pipeline, err = pipeline.Run(j.ctx, j.req.Pipeline, penv)
 	case JobSearch:
-		res, err := jobs.RunSearch(j.ctx, j.req.Search, menv)
-		if err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.search = res
-		j.mu.Unlock()
-		return nil
+		res.Search, err = jobs.RunSearch(j.ctx, j.req.Search, menv)
 	case JobGrid:
-		res, err := jobs.RunGrid(j.ctx, j.req.Grid, menv)
-		if err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.grid = res
-		j.mu.Unlock()
-		return nil
+		res.Grid, err = jobs.RunGrid(j.ctx, j.req.Grid, menv)
 	case JobSort:
-		res, err := jobs.RunSort(j.ctx, j.req.Sort, menv)
-		if err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.sortRes = res
-		j.mu.Unlock()
-		return nil
+		res.Sort, err = jobs.RunSort(j.ctx, j.req.Sort, menv)
 	default:
-		return fmt.Errorf("unknown job type %q", j.req.Type)
+		err = fmt.Errorf("unknown job type %q", j.req.Type)
 	}
+	if err != nil {
+		return Results{}, err
+	}
+	return res, nil
+}
+
+// runTree reduces the spec's arithmetic tree.
+func runTree(ctx context.Context, spec *TreeSpec, opts skel.ReduceOptions, cache *memo.Cache) (*TreeResult, error) {
+	shape, err := treeShape(spec.Shape)
+	if err != nil {
+		return nil, err
+	}
+	tree := workload.SkelTree(workload.IntTree(spec.Leaves, shape, spec.Seed))
+	eval := intEval
+	if spec.NodeCostMicros > 0 {
+		cost := time.Duration(spec.NodeCostMicros) * time.Microsecond
+		eval = func(op string, l, r int64) int64 {
+			time.Sleep(cost)
+			return intEval(op, l, r)
+		}
+	}
+	if cache != nil {
+		skel.Memoize[int64](&opts, cache, skel.TreeDigests(tree, intLeafDigest),
+			func(int64) int64 { return 8 })
+	}
+	val, stats, err := skel.TreeReduce(ctx, tree, eval, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &TreeResult{
+		Value:         val,
+		Leaves:        spec.Leaves,
+		Units:         stats.TotalUnits(),
+		CrossMessages: stats.CrossMessages,
+		Imbalance:     stats.Imbalance(),
+		ResumedNodes:  stats.CheckpointHits,
+		MemoNodes:     stats.MemoHits,
+	}, nil
 }
 
 // noteDecision publishes a journaled decision on the job's status. Called
@@ -566,19 +539,19 @@ func intEval(op string, l, r int64) int64 {
 // maxStrandOutput bounds the buffered write/1 output of a strand job.
 const maxStrandOutput = 1 << 16
 
-func (j *Job) executeStrand() error {
-	if err := j.ctx.Err(); err != nil {
-		return err
+// runStrand runs the spec's Strand program on the simulated machine.
+func runStrand(ctx context.Context, spec *StrandSpec) (*StrandResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	spec := j.req.Strand
 	h := term.NewHeap()
 	prog, err := parser.Parse(h, spec.Source)
 	if err != nil {
-		return fmt.Errorf("parse: %w", err)
+		return nil, fmt.Errorf("parse: %w", err)
 	}
 	goal, err := parser.ParseTerm(h, spec.Goal)
 	if err != nil {
-		return fmt.Errorf("bad goal: %w", err)
+		return nil, fmt.Errorf("bad goal: %w", err)
 	}
 	var out bytes.Buffer
 	rt := strand.New(prog, h, strand.Options{
@@ -590,17 +563,14 @@ func (j *Job) executeStrand() error {
 	rt.Spawn(goal, 0)
 	res, err := rt.Run()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	j.mu.Lock()
-	j.strand = &StrandResult{
+	return &StrandResult{
 		Reductions: res.Reductions,
 		Makespan:   res.Metrics.Makespan,
 		Messages:   res.Metrics.Messages,
 		Output:     out.String(),
-	}
-	j.mu.Unlock()
-	return nil
+	}, nil
 }
 
 // limitWriter silently discards bytes beyond n.

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 
-	"repro/internal/bio"
-	"repro/internal/jobs"
 	"repro/internal/memo"
 )
 
@@ -78,71 +76,26 @@ func ContentKey(req *JobRequest) (memo.Key, bool) {
 	}
 }
 
-// cachedResult is the serialized payload stored in the job-level cache:
-// exactly the result block of a successful job, without its identity.
-type cachedResult struct {
-	Align  *bio.AlignJobResult `json:"align,omitempty"`
-	Tree   *TreeResult         `json:"tree,omitempty"`
-	Strand *StrandResult       `json:"strand,omitempty"`
-	Search *jobs.SearchResult  `json:"search,omitempty"`
-	Grid   *jobs.GridResult    `json:"grid,omitempty"`
-	Sort   *jobs.SortResult    `json:"sort,omitempty"`
-}
-
-// marshalCached serializes a finished job's result payload, or nil when
-// there is nothing cacheable (test bodies, failed jobs).
-func marshalCached(j *Job) []byte {
-	j.mu.Lock()
-	c := cachedResult{Align: j.align, Tree: j.tree, Strand: j.strand,
-		Search: j.search, Grid: j.grid, Sort: j.sortRes}
-	j.mu.Unlock()
-	if c.Align == nil && c.Tree == nil && c.Strand == nil &&
-		c.Search == nil && c.Grid == nil && c.Sort == nil {
+// memoPayload serializes a finished job's result block as its job-level
+// memo entry (the block alone, without identity), or nil when there is
+// nothing to cache (test bodies).
+func memoPayload(res Results) memo.Bytes {
+	if res == (Results{}) {
 		return nil
 	}
-	blob, err := json.Marshal(c)
+	blob, err := json.Marshal(res)
 	if err != nil {
 		return nil
 	}
 	return blob
 }
 
-// applyCached populates the job from a cached result payload, reporting
-// whether the payload decoded and matched the job's type.
-func applyCached(j *Job, blob []byte) bool {
-	var c cachedResult
-	if err := json.Unmarshal(blob, &c); err != nil {
-		return false
+// memoResults decodes a job-level memo entry. The entry's key digests the
+// job type, so a non-empty block found under it is that type's result.
+func memoResults(blob []byte) (Results, bool) {
+	var res Results
+	if json.Unmarshal(blob, &res) != nil || res == (Results{}) {
+		return Results{}, false
 	}
-	switch j.req.Type {
-	case JobAlign:
-		if c.Align == nil {
-			return false
-		}
-	case JobTree:
-		if c.Tree == nil {
-			return false
-		}
-	case JobStrand:
-		if c.Strand == nil {
-			return false
-		}
-	case JobSearch:
-		if c.Search == nil {
-			return false
-		}
-	case JobGrid:
-		if c.Grid == nil {
-			return false
-		}
-	case JobSort:
-		if c.Sort == nil {
-			return false
-		}
-	default:
-		return false
-	}
-	j.align, j.tree, j.strand = c.Align, c.Tree, c.Strand
-	j.search, j.grid, j.sortRes = c.Search, c.Grid, c.Sort
-	return true
+	return res, true
 }

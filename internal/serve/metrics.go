@@ -145,29 +145,30 @@ type MotifSnapshot struct {
 	Sort   MotifSortStats   `json:"sort"`
 }
 
-// observe accumulates one finished job's outcome into the per-type block.
-func (m *motifMetrics) observe(j *Job) {
+// observe accumulates one finished job's result block into the per-type
+// block.
+func (m *motifMetrics) observe(r *Results) {
 	switch {
-	case j.search != nil:
+	case r.Search != nil:
 		m.searchDone.Add(1)
-		m.searchUnits.Add(j.search.Units)
-		if j.search.Terminated {
+		m.searchUnits.Add(r.Search.Units)
+		if r.Search.Terminated {
 			m.searchTerminated.Add(1)
 		}
-		if j.search.ResumedDecision {
+		if r.Search.ResumedDecision {
 			m.searchResumedDecisions.Add(1)
 		}
-	case j.grid != nil:
+	case r.Grid != nil:
 		m.gridDone.Add(1)
-		m.gridUnits.Add(j.grid.Units)
-		if j.grid.Converged {
+		m.gridUnits.Add(r.Grid.Units)
+		if r.Grid.Converged {
 			m.gridConverged.Add(1)
 		}
-		m.gridResumedSweeps.Add(int64(j.grid.ResumedSweeps))
-	case j.sortRes != nil:
+		m.gridResumedSweeps.Add(int64(r.Grid.ResumedSweeps))
+	case r.Sort != nil:
 		m.sortDone.Add(1)
-		m.sortUnits.Add(j.sortRes.Units)
-		m.sortResumedPaths.Add(j.sortRes.ResumedPaths)
+		m.sortUnits.Add(r.Sort.Units)
+		m.sortResumedPaths.Add(r.Sort.ResumedPaths)
 	}
 }
 

@@ -123,9 +123,10 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 	s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindExecStart,
 		Proc: w, From: -1, Label: string(j.req.Type) + ":" + j.id})
 
+	res, cached := s.resolveFromCache(j)
 	var err error
-	if !s.resolveFromCache(j) {
-		err = j.execute(s.reduceOpts(j), s.memo, s.pipelineEnv(j), s.motifEnv(j))
+	if !cached {
+		res, err = j.execute(s.reduceOpts(j), s.memo, s.pipelineEnv(j), s.motifEnv(j))
 	}
 
 	j.mu.Lock()
@@ -136,18 +137,19 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 	} else {
 		j.state = StateDone
 	}
+	j.res = res
 	dur := j.finished.Sub(j.started)
+	j.mu.Unlock()
 	var resumed int64
 	switch {
-	case j.tree != nil:
-		resumed = j.tree.ResumedNodes
-	case j.grid != nil && j.grid.ResumedSweeps > 0:
+	case res.Tree != nil:
+		resumed = res.Tree.ResumedNodes
+	case res.Grid != nil && res.Grid.ResumedSweeps > 0:
 		resumed = 1 // one snapshot restored
-	case j.sortRes != nil:
-		resumed = j.sortRes.ResumedPaths
+	case res.Sort != nil:
+		resumed = res.Sort.ResumedPaths
 	}
-	s.met.motif.observe(j)
-	j.mu.Unlock()
+	s.met.motif.observe(&res)
 	s.cfg.Store.NoteCheckpointHits(resumed)
 	// Feed the admission scheduler's drain-time estimate (Retry-After on
 	// sheds) with the observed service time.
@@ -165,28 +167,16 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 // entry (memoshare fetch, checksum-verified on receipt, filled locally by
 // the fetcher). Reads the local cache through Peek so the re-check doesn't
 // double-count the miss already recorded at admission. False means compute.
-func (s *Server) resolveFromCache(j *Job) bool {
+func (s *Server) resolveFromCache(j *Job) (Results, bool) {
 	if s.memo == nil || !j.hasKey {
-		return false
+		return Results{}, false
 	}
-	var blob []byte
-	if v, ok := s.memo.Peek(j.key); ok {
-		if b, isBytes := v.(memo.Bytes); isBytes {
-			blob = []byte(b)
-		}
-	}
+	v, _ := s.memo.Peek(j.key)
+	blob, _ := v.(memo.Bytes)
 	if blob == nil {
-		if fetched, ok := s.fetcher.Load().Fetch(j.ctx, j.key); ok {
-			blob = fetched
-		}
+		blob, _ = s.fetcher.Load().Fetch(j.ctx, j.key)
 	}
-	if blob == nil {
-		return false
-	}
-	j.mu.Lock()
-	ok := applyCached(j, blob)
-	j.mu.Unlock()
-	return ok
+	return memoResults(blob)
 }
 
 // pipelineEnv is the host environment a pipeline job runs against: the
@@ -285,13 +275,14 @@ func (s *Server) finish(j *Job, ok bool) {
 		// success, publish the result under its content digest so future
 		// identical submissions answer without queueing.
 		s.mu.Lock()
-		if s.byContent[j.key] == j.id {
-			delete(s.byContent, j.key)
-		}
+		s.ledger.ReleaseContent(j.id)
 		s.mu.Unlock()
 		if ok {
-			if blob := marshalCached(j); blob != nil {
-				s.memo.Put(j.key, memo.Bytes(blob))
+			j.mu.Lock()
+			blob := memoPayload(j.res)
+			j.mu.Unlock()
+			if blob != nil {
+				s.memo.Put(j.key, blob)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/memo"
 )
 
 // treeReq is a small tree job tagged with QoS identity.
@@ -194,14 +195,12 @@ func TestQoSWeightedDrainOrder(t *testing.T) {
 			},
 		}
 		s.mu.Lock()
-		s.nextID++
-		j.id = fmt.Sprintf("j%06d", s.nextID)
+		j.id = s.ledger.Admit(j, "", memo.Key{}, false)
 		s.mu.Unlock()
 		if _, err := s.q.tryPush(j); err != nil {
 			cancel()
 			t.Fatalf("push %s: %v", tenant, err)
 		}
-		s.store(j)
 		jobs = append(jobs, j)
 	}
 	for i := 0; i < 6; i++ {

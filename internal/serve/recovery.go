@@ -17,13 +17,10 @@ import (
 func (s *Server) recoverFromStore() []*Job {
 	var resume []*Job
 	for _, js := range s.cfg.Store.Jobs() {
-		var n int64
-		if parseJobID(js.ID, "j", &n) && n > s.nextID {
-			s.nextID = n
-		}
 		var j *Job
 		if js.Status.Terminal() {
 			if j = terminalJobFromStore(js); j == nil {
+				s.ledger.Seen(js.ID)
 				continue
 			}
 		} else {
@@ -33,9 +30,11 @@ func (s *Server) recoverFromStore() []*Job {
 				// a newer build); mark it failed rather than replaying it
 				// forever.
 				_ = s.cfg.Store.Failed(js.ID, "unrecoverable journaled request")
+				s.ledger.Seen(js.ID)
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), s.timeoutFor(req))
+			ctx, cancel := context.WithTimeout(context.Background(),
+				TimeoutFor(&req, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 			j = &Job{
 				id:        js.ID,
 				req:       req,
@@ -52,11 +51,7 @@ func (s *Server) recoverFromStore() []*Job {
 			}
 			resume = append(resume, j)
 		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		if js.Client != "" {
-			s.byClient[js.Client] = j.id
-		}
+		s.ledger.Restore(j.id, j, js.Client)
 	}
 	return resume
 }
@@ -85,28 +80,10 @@ func terminalJobFromStore(js store.JobState) *Job {
 		if st.Type != "" {
 			j.req.Type = st.Type
 		}
-		j.align, j.tree, j.strand, j.pipe = st.Align, st.Tree, st.Strand, st.Pipeline
-		j.search, j.grid, j.sortRes = st.Search, st.Grid, st.Sort
+		j.res = st.Results
 	} else {
 		j.state = StateError
 		j.err = errors.New(js.Error)
 	}
 	return j
-}
-
-// parseJobID extracts the numeric part of an id like "j000042" or
-// "c000042" given its prefix.
-func parseJobID(id, prefix string, n *int64) bool {
-	if len(id) <= len(prefix) || id[:len(prefix)] != prefix {
-		return false
-	}
-	var v int64
-	for _, c := range id[len(prefix):] {
-		if c < '0' || c > '9' {
-			return false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	*n = v
-	return true
 }

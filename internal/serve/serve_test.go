@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/bio"
+	"repro/internal/memo"
 )
 
 // settleGoroutines waits for the goroutine count to drop back to at most
@@ -52,14 +53,12 @@ func submitBody(t *testing.T, s *Server, fn func(ctx context.Context) error) *Jo
 		testBody:  fn,
 	}
 	s.mu.Lock()
-	s.nextID++
-	j.id = fmt.Sprintf("j%06d", s.nextID)
+	j.id = s.ledger.Admit(j, "", memo.Key{}, false)
 	s.mu.Unlock()
 	if _, err := s.q.tryPush(j); err != nil {
 		cancel()
 		t.Fatalf("submitBody: %v", err)
 	}
-	s.store(j)
 	s.met.admitted.Add(1)
 	return j
 }
@@ -649,7 +648,7 @@ func TestJobHistoryEviction(t *testing.T) {
 		last = j
 	}
 	s.mu.Lock()
-	stored := len(s.jobs)
+	stored := len(s.ledger.jobs)
 	s.mu.Unlock()
 	if stored > 4 {
 		t.Fatalf("history holds %d jobs, want <= 4", stored)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -127,17 +126,11 @@ type Server struct {
 	workerWG sync.WaitGroup
 	draining atomic.Bool
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string // insertion order, for history eviction
-	byClient map[string]string
-	// byContent indexes live (queued/running) jobs by content digest, so a
-	// concurrent identical submission attaches to the in-flight execution
-	// instead of starting its own — the singleflight collapse. Entries are
-	// removed when their job finishes; finished results are answered from
-	// the memo cache instead.
-	byContent map[memo.Key]string
-	nextID    int64
+	// mu guards the ledger: job history, client-id dedup, and the
+	// singleflight collapse of identical submissions onto a live job
+	// (finished results are answered from the memo cache instead).
+	mu     sync.Mutex
+	ledger Ledger[*Job]
 }
 
 // New builds the server and starts its worker pool. With a configured
@@ -147,14 +140,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
-		cfg:       cfg,
-		met:       newPoolMetrics(cfg.Workers),
-		ring:      trace.NewRing(cfg.TraceCap),
-		memo:      memo.New(cfg.MemoBytes),
-		pipe:      pipeline.NewMetrics(),
-		jobs:      make(map[string]*Job),
-		byClient:  make(map[string]string),
-		byContent: make(map[memo.Key]string),
+		cfg:    cfg,
+		met:    newPoolMetrics(cfg.Workers),
+		ring:   trace.NewRing(cfg.TraceCap),
+		memo:   memo.New(cfg.MemoBytes),
+		pipe:   pipeline.NewMetrics(),
+		ledger: NewLedger("j", cfg.MaxJobs, (*Job).live),
 	}
 	s.memo.SetTracer(s.ring)
 	s.provider = memoshare.NewProvider(s.memo)
@@ -225,7 +216,8 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	if s.memo != nil {
 		key, haveKey = ContentKey(&req)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.timeoutFor(req))
+	ctx, cancel := context.WithTimeout(context.Background(),
+		TimeoutFor(&req, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 	j := &Job{
 		req:       req,
 		ctx:       ctx,
@@ -245,65 +237,43 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	// Allocate the ID, claim the idempotency key, and publish the job in
 	// one critical section, so concurrent duplicates agree on a single job.
 	s.mu.Lock()
-	if req.ID != "" {
-		if id, ok := s.byClient[req.ID]; ok {
-			if prev := s.jobs[id]; prev != nil {
-				s.mu.Unlock()
-				cancel()
-				s.met.deduped.Add(1)
-				return prev, nil
-			}
-		}
+	if prev, ok := s.ledger.Dedup(req.ID); ok {
+		s.mu.Unlock()
+		cancel()
+		s.met.deduped.Add(1)
+		return prev, nil
 	}
 	if haveKey {
 		// Singleflight collapse: an identical job is already in flight;
 		// attach to its execution instead of queueing another.
-		if id, ok := s.byContent[key]; ok {
-			if prev := s.jobs[id]; prev != nil {
-				if req.ID != "" {
-					s.byClient[req.ID] = id
-				}
-				s.mu.Unlock()
-				cancel()
-				s.met.collapsed.Add(1)
-				s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindMemoCollapse,
-					Proc: -1, From: -1, Label: key.Short()})
-				return prev, nil
-			}
-			delete(s.byContent, key) // stale: the job was evicted from history
+		if prev, ok := s.ledger.Collapse(key, req.ID); ok {
+			s.mu.Unlock()
+			cancel()
+			s.met.collapsed.Add(1)
+			s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindMemoCollapse,
+				Proc: -1, From: -1, Label: key.Short()})
+			return prev, nil
 		}
 		// Job-level cache: a finished identical job left its result here;
 		// answer without queueing.
-		if v, ok := s.memo.Get(key); ok {
-			if blob, okType := v.(memo.Bytes); okType && applyCached(j, []byte(blob)) {
-				s.nextID++
-				j.id = fmt.Sprintf("j%06d", s.nextID)
-				if req.ID != "" {
-					s.byClient[req.ID] = j.id
-				}
-				j.state = StateDone
-				j.finished = time.Now()
-				s.storeLocked(j)
-				s.mu.Unlock()
-				cancel()
-				s.met.admitted.Add(1)
-				s.met.memoHits.Add(1)
-				s.met.done.Add(1)
-				s.met.observeLatency(time.Since(j.submitted))
-				s.journalCached(j)
-				return j, nil
-			}
+		v, _ := s.memo.Get(key)
+		blob, _ := v.(memo.Bytes)
+		if res, ok := memoResults(blob); ok {
+			j.res = res
+			j.state = StateDone
+			j.finished = time.Now()
+			j.id = s.ledger.Admit(j, req.ID, memo.Key{}, false)
+			s.mu.Unlock()
+			cancel()
+			s.met.admitted.Add(1)
+			s.met.memoHits.Add(1)
+			s.met.done.Add(1)
+			s.met.observeLatency(time.Since(j.submitted))
+			s.journalCached(j)
+			return j, nil
 		}
 	}
-	s.nextID++
-	j.id = fmt.Sprintf("j%06d", s.nextID)
-	if req.ID != "" {
-		s.byClient[req.ID] = j.id
-	}
-	if haveKey {
-		s.byContent[key] = j.id
-	}
-	s.storeLocked(j)
+	j.id = s.ledger.Admit(j, req.ID, key, haveKey)
 	s.mu.Unlock()
 
 	victim, err := s.q.tryPush(j)
@@ -346,12 +316,7 @@ func (s *Server) preemptJob(j *Job) {
 	j.cancel()
 	s.met.preempted.Add(1)
 	s.mu.Lock()
-	if cid := j.req.ID; cid != "" && s.byClient[cid] == j.id {
-		delete(s.byClient, cid)
-	}
-	if j.hasKey && s.byContent[j.key] == j.id {
-		delete(s.byContent, j.key)
-	}
+	s.ledger.Release(j.id)
 	s.mu.Unlock()
 	if s.cfg.Store != nil {
 		_ = s.cfg.Store.Failed(j.id, qos.ErrPreempted.Error())
@@ -365,19 +330,7 @@ func (s *Server) preemptJob(j *Job) {
 func (s *Server) unpublish(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cid := j.req.ID; cid != "" && s.byClient[cid] == j.id {
-		delete(s.byClient, cid)
-	}
-	if j.hasKey && s.byContent[j.key] == j.id {
-		delete(s.byContent, j.key)
-	}
-	delete(s.jobs, j.id)
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if s.order[i] == j.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.ledger.Remove(j.id)
 }
 
 // journalCached journals a cache-answered job so it stays pollable across
@@ -394,24 +347,11 @@ func (s *Server) journalCached(j *Job) {
 	}
 }
 
-// timeoutFor resolves a request's execution budget.
-func (s *Server) timeoutFor(req JobRequest) time.Duration {
-	timeout := s.cfg.DefaultTimeout
-	if req.DeadlineMillis > 0 {
-		timeout = time.Duration(req.DeadlineMillis) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	return timeout
-}
-
 // Job returns the job with the given id, if still in the history window.
 func (s *Server) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	return s.ledger.Get(id)
 }
 
 // TenantQueueDepths reports each tenant's current admission-queue depth
@@ -466,40 +406,6 @@ func (s *Server) MemoCache() *memo.Cache { return s.memo }
 // Tracer exposes the server's trace ring so sidecar components (the
 // memoshare fetcher) can emit into the same timeline.
 func (s *Server) Tracer() trace.Tracer { return s.ring }
-
-func (s *Server) store(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.storeLocked(j)
-}
-
-// storeLocked publishes the job in the history and evicts the oldest
-// finished jobs beyond the window. Callers hold s.mu.
-func (s *Server) storeLocked(j *Job) {
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	for len(s.order) > s.cfg.MaxJobs {
-		// Evict the oldest finished job; stop at the first live one (live
-		// jobs are bounded by QueueCap + Workers*BatchMax).
-		old := s.jobs[s.order[0]]
-		if old != nil {
-			old.mu.Lock()
-			live := old.state == StateQueued || old.state == StateRunning
-			old.mu.Unlock()
-			if live {
-				break
-			}
-			if cid := old.req.ID; cid != "" && s.byClient[cid] == old.id {
-				delete(s.byClient, cid)
-			}
-			if old.hasKey && s.byContent[old.key] == old.id {
-				delete(s.byContent, old.key)
-			}
-			delete(s.jobs, s.order[0])
-		}
-		s.order = s.order[1:]
-	}
-}
 
 // errBadRequest marks validation failures for the HTTP layer.
 var errBadRequest = errors.New("bad request")
@@ -577,23 +483,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	sort.Sort(sort.Reverse(sort.StringSlice(ids)))
 	const maxList = 100
-	if len(ids) > maxList {
-		ids = ids[:maxList]
-	}
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := s.Job(id); ok {
-			st := j.Status()
-			// The list view is a summary; drop result payloads.
-			st.Align, st.Tree, st.Strand, st.Pipeline = nil, nil, nil, nil
-			st.Search, st.Grid, st.Sort = nil, nil, nil
-			out = append(out, st)
-		}
+	s.mu.Lock()
+	recent := s.ledger.Newest(maxList)
+	s.mu.Unlock()
+	out := make([]JobStatus, len(recent))
+	for i, j := range recent {
+		out[i] = j.Status()
+		out[i].Results = Results{} // the list view is a summary
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }

@@ -85,7 +85,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// job cache never had a live stream; synthesize one from its
 		// durable output.
 		j.mu.Lock()
-		pipe := j.pipe
+		pipe := j.res.Pipeline
 		j.mu.Unlock()
 		if pipe != nil {
 			for i := range pipe.Output {

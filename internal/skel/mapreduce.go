@@ -1,16 +1,6 @@
 package skel
 
-import (
-	"context"
-	"sync"
-)
-
-// ParMap applies f to each element in parallel with the given worker count,
-// preserving order.
-func ParMap[T, R any](xs []T, f func(T) R, workers int) []R {
-	out, _, _ := Farm(context.Background(), xs, f, FarmOptions{Workers: workers})
-	return out
-}
+import "sync"
 
 // ParReduce folds xs with an associative operator op in parallel: each
 // worker folds a contiguous block, then the partial results are folded
@@ -47,60 +37,4 @@ func ParReduce[T any](xs []T, zero T, op func(a, b T) T, workers int) T {
 		acc = op(acc, pv)
 	}
 	return acc
-}
-
-// ParScan computes the inclusive prefix "sums" of xs under the associative
-// operator op using the classic two-phase block scan: per-block sequential
-// scans in parallel, a sequential scan over block totals, then a parallel
-// fix-up pass. zero must be op's identity.
-func ParScan[T any](xs []T, zero T, op func(a, b T) T, workers int) []T {
-	n := len(xs)
-	out := make([]T, n)
-	if n == 0 {
-		return out
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-
-	// Phase 1: local scans.
-	totals := make([]T, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		lo, hi := w*n/workers, (w+1)*n/workers
-		waitGroupGo(&wg, func() {
-			acc := zero
-			for i := lo; i < hi; i++ {
-				acc = op(acc, xs[i])
-				out[i] = acc
-			}
-			totals[w] = acc
-		})
-	}
-	wg.Wait()
-
-	// Phase 2: exclusive scan of block totals.
-	offsets := make([]T, workers)
-	acc := zero
-	for w := 0; w < workers; w++ {
-		offsets[w] = acc
-		acc = op(acc, totals[w])
-	}
-
-	// Phase 3: fix-up.
-	for w := 1; w < workers; w++ {
-		w := w
-		lo, hi := w*n/workers, (w+1)*n/workers
-		waitGroupGo(&wg, func() {
-			for i := lo; i < hi; i++ {
-				out[i] = op(offsets[w], out[i])
-			}
-		})
-	}
-	wg.Wait()
-	return out
 }

@@ -2,54 +2,8 @@ package skel
 
 import (
 	"context"
-	"fmt"
 	"sync"
 )
-
-// Stage is one pipeline stage: a function from an input item to an output
-// item. Stages communicate over channels, so all stages run concurrently on
-// different items — the stream-processing structure that Figure 1's
-// producer/consumer program exemplifies at the language level.
-type Stage[T any] func(T) T
-
-// Pipeline feeds the items through the stages in order, with every stage
-// running concurrently, and returns the fully processed items in order.
-func Pipeline[T any](items []T, stages ...Stage[T]) ([]T, error) {
-	if len(stages) == 0 {
-		out := make([]T, len(items))
-		copy(out, items)
-		return out, nil
-	}
-	in := make(chan T, len(items))
-	for _, it := range items {
-		in <- it
-	}
-	close(in)
-
-	cur := in
-	var wg sync.WaitGroup
-	for _, st := range stages {
-		st := st
-		prev := cur
-		next := make(chan T, cap(in))
-		waitGroupGo(&wg, func() {
-			defer close(next)
-			for it := range prev {
-				next <- st(it)
-			}
-		})
-		cur = next
-	}
-	var out []T
-	for it := range cur {
-		out = append(out, it)
-	}
-	wg.Wait()
-	if len(out) != len(items) {
-		return nil, fmt.Errorf("skel: pipeline dropped items: %d in, %d out", len(items), len(out))
-	}
-	return out, nil
-}
 
 // StreamStage is one stage of a streaming pipeline: it consumes records
 // from in until the channel closes, sends results on out, and returns when
@@ -60,7 +14,8 @@ func Pipeline[T any](items []T, stages ...Stage[T]) ([]T, error) {
 type StreamStage[T any] func(ctx context.Context, in <-chan T, out chan<- T) error
 
 // StreamPipeline runs the stages concurrently connected by bounded channels
-// of the given depth (minimum 1): the streaming counterpart of Pipeline,
+// of the given depth (minimum 1): the stream-processing structure that
+// Figure 1's producer/consumer program exemplifies at the language level,
 // and the substrate for pipeline jobs. The bound is the backpressure
 // contract — a slow downstream stage blocks its upstream once the buffer
 // fills, so in-flight memory is O(stages × depth) regardless of stream

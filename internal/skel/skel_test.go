@@ -182,31 +182,6 @@ func TestHierarchicalFarmBadShape(t *testing.T) {
 	}
 }
 
-func TestPipeline(t *testing.T) {
-	items := []int{1, 2, 3, 4, 5}
-	out, err := Pipeline(items,
-		func(x int) int { return x + 1 },
-		func(x int) int { return x * 10 },
-		func(x int) int { return x - 3 },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		want := (items[i]+1)*10 - 3
-		if v != want {
-			t.Fatalf("out[%d] = %d, want %d", i, v, want)
-		}
-	}
-}
-
-func TestPipelineNoStages(t *testing.T) {
-	out, err := Pipeline([]int{7, 8})
-	if err != nil || len(out) != 2 || out[0] != 7 {
-		t.Fatalf("out = %v, %v", out, err)
-	}
-}
-
 func TestProducerConsumerFigure1(t *testing.T) {
 	var consumed []int
 	n := ProducerConsumer(4,
@@ -398,14 +373,6 @@ func TestJacobiTooSmall(t *testing.T) {
 	}
 }
 
-func TestParMap(t *testing.T) {
-	xs := []int{1, 2, 3}
-	got := ParMap(xs, func(x int) int { return -x }, 2)
-	if got[0] != -1 || got[1] != -2 || got[2] != -3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestParReduce(t *testing.T) {
 	xs := make([]int64, 1000)
 	var want int64
@@ -421,29 +388,6 @@ func TestParReduce(t *testing.T) {
 	}
 	if ParReduce(nil, int64(7), func(a, b int64) int64 { return a + b }, 4) != 7 {
 		t.Fatal("empty reduce should return zero value")
-	}
-}
-
-// Property: ParScan equals the sequential prefix sums for any input.
-func TestPropParScanMatchesSequential(t *testing.T) {
-	f := func(xs []int32, w uint8) bool {
-		workers := int(w%8) + 1
-		in := make([]int64, len(xs))
-		for i, x := range xs {
-			in[i] = int64(x)
-		}
-		got := ParScan(in, 0, func(a, b int64) int64 { return a + b }, workers)
-		acc := int64(0)
-		for i, x := range in {
-			acc += x
-			if got[i] != acc {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -167,15 +167,14 @@ func (s *JobStore) SetTracer(t trace.Tracer) {
 func (s *JobStore) applyLocked(rec record) {
 	switch rec.Kind {
 	case recAccepted:
-		js, ok := s.jobs[rec.Job]
-		if !ok {
-			js = &JobState{ID: rec.Job}
-			s.jobs[rec.Job] = js
-			s.order = append(s.order, rec.Job)
-		}
+		js := s.entryLocked(rec.Job)
 		js.Client = rec.Client
-		js.Status = StatusAccepted
 		js.Request = rec.Data
+		// motifd journals accepted after the enqueue, so a fast job's
+		// terminal record can land first: a status never moves back.
+		if !js.Status.Terminal() {
+			js.Status = StatusAccepted
+		}
 	case recPlaced:
 		if js, ok := s.jobs[rec.Job]; ok && !js.Status.Terminal() {
 			js.Worker = rec.Worker
@@ -208,22 +207,31 @@ func (s *JobStore) applyLocked(rec record) {
 		}
 		m[rec.Node] = rec.Data
 	case recDone:
-		if js, ok := s.jobs[rec.Job]; ok {
-			js.Status = StatusDone
-			js.Result = rec.Data
-			delete(s.ckpts, rec.Job)
-			delete(s.decisions, rec.Job)
-		}
+		js := s.entryLocked(rec.Job)
+		js.Status = StatusDone
+		js.Result = rec.Data
+		delete(s.ckpts, rec.Job)
+		delete(s.decisions, rec.Job)
 		s.evictLocked()
 	case recFailed:
-		if js, ok := s.jobs[rec.Job]; ok {
-			js.Status = StatusFailed
-			js.Error = rec.Err
-			delete(s.ckpts, rec.Job)
-			delete(s.decisions, rec.Job)
-		}
+		js := s.entryLocked(rec.Job)
+		js.Status = StatusFailed
+		js.Error = rec.Err
+		delete(s.ckpts, rec.Job)
+		delete(s.decisions, rec.Job)
 		s.evictLocked()
 	}
+}
+
+// entryLocked returns the job's state, creating it on its first record.
+func (s *JobStore) entryLocked(id string) *JobState {
+	js, ok := s.jobs[id]
+	if !ok {
+		js = &JobState{ID: id}
+		s.jobs[id] = js
+		s.order = append(s.order, id)
+	}
+	return js
 }
 
 // evictLocked forgets the oldest terminal jobs beyond the MaxJobs bound.

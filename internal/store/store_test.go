@@ -225,3 +225,34 @@ func mustNil(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// TestTerminalRecordBeforeAccepted covers motifd's journal order: accepted
+// is appended after the enqueue, so a fast job's done record can land
+// first. The job must stay done, live and across replay, with the late
+// accepted record still supplying its client id and request.
+func TestTerminalRecordBeforeAccepted(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, Options{CompactAfter: -1})
+	mustNil(t, s.Done("j1", []byte(`{"value":42}`)))
+	mustNil(t, s.Accepted("j1", "client-a", []byte(`{"type":"tree"}`)))
+	check := func(s *JobStore) {
+		t.Helper()
+		jobs := s.Jobs()
+		if len(jobs) != 1 {
+			t.Fatalf("jobs = %+v, want one", jobs)
+		}
+		js := jobs[0]
+		if js.Status != StatusDone || string(js.Result) != `{"value":42}` ||
+			js.Client != "client-a" || string(js.Request) != `{"type":"tree"}` {
+			t.Fatalf("job state = %+v", js)
+		}
+		if inc := s.Incomplete(); len(inc) != 0 {
+			t.Fatalf("incomplete = %+v, want none", inc)
+		}
+	}
+	check(s)
+	mustNil(t, s.Close())
+	r := openTestStore(t, dir, Options{})
+	defer r.Close()
+	check(r)
+}
