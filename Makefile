@@ -32,8 +32,9 @@ staticcheck:
 		echo "staticcheck: not installed, skipping (CI runs it)"; \
 	fi
 
+# -count=1 bypasses the test cache, so a cached pass cannot hide red.
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 # perfbench is its own module (./... skips it); vet and short-test it
 # because it compiles against the serve and cluster APIs.

@@ -54,20 +54,15 @@ func shutdownCoordinator(t *testing.T, c *Coordinator) {
 	}
 }
 
-// waitTerminal polls the job until it reaches a terminal state.
+// waitTerminal waits until the job's outcome is bound.
 func waitTerminal(t *testing.T, j *Job, within time.Duration) JobView {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		v := j.View()
-		if v.State == serve.StateDone || v.State == serve.StateError {
-			return v
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %s after %v", v.ID, v.State, within)
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-j.life.Done():
+	case <-time.After(within):
+		t.Fatalf("job %s still %s after %v", j.id, j.life.State(), within)
 	}
+	return j.View()
 }
 
 func treeReq(leaves int) serve.JobRequest {

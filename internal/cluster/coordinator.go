@@ -181,26 +181,6 @@ var (
 	errBadRequest = errors.New("bad request")
 )
 
-// busyError carries the scheduler's drain-derived Retry-After under the
-// ErrBusy identity, so errors.Is(err, ErrBusy) callers keep working while
-// the HTTP layer advises the refused tenant's actual drain time.
-type busyError struct {
-	shed *qos.ShedError
-}
-
-func (e *busyError) Error() string { return e.shed.Error() }
-func (e *busyError) Unwrap() error { return ErrBusy }
-
-// busyRetryAfterSeconds extracts the drain-derived Retry-After from a shed
-// error, falling back to the legacy constant.
-func busyRetryAfterSeconds(err error) int {
-	var be *busyError
-	if errors.As(err, &be) {
-		return be.shed.RetryAfterSeconds()
-	}
-	return serve.RetryAfterSeconds
-}
-
 // NewCoordinator builds the coordinator and starts its heartbeat-expiry
 // sweeper.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
@@ -214,7 +194,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		ring:    trace.NewRing(cfg.TraceCap),
 		ctx:     ctx,
 		stop:    stop,
-		ledger:  serve.NewLedger("c", cfg.MaxJobs, (*Job).live),
+		ledger:  serve.NewLedger("c", cfg.MaxJobs, func(j *Job) bool { return j.life.Live() }),
 		memoIdx: newMemoIndex(cfg.MemoIndexCap),
 	}
 	c.sched = qos.New(qos.Options{
@@ -313,28 +293,25 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 
 // Job is one accepted request moving through the cluster.
 type Job struct {
-	id        string
-	req       serve.JobRequest
-	body      []byte // pre-marshaled request, shipped verbatim on each attempt
-	submitted time.Time
-	deadline  time.Time
+	id       string
+	req      serve.JobRequest
+	body     []byte // pre-marshaled request, shipped verbatim on each attempt
+	deadline time.Time
+
+	// life holds the job's state and outcome; it starts running at
+	// each successful placement. Its decision is the job's harvested
+	// mid-flight commitment (e.g. a FirstOnly search's shortcircuit
+	// winner), copied off the worker's status while it was still running
+	// and journaled in the coordinator's own WAL. Once set, losing the
+	// worker no longer loses the answer: the retry completes from the
+	// decision instead of re-placing the work. Only Coordinator.bind binds it.
+	life *serve.Lifecycle
 
 	mu          sync.Mutex
-	state       serve.State
 	workerID    string
 	workerIndex int
 	attempts    int
 	excluded    map[string]bool
-	shipped     time.Time // most recent successful placement
-	finished    time.Time
-	res         serve.Results // result block of the worker's terminal status
-	errMsg      string
-	// decision is the job's harvested mid-flight commitment (e.g. a
-	// FirstOnly search's shortcircuit winner), copied off the worker's
-	// status while it was still running and journaled in the coordinator's
-	// own WAL. Once set, losing the worker no longer loses the answer: the
-	// retry completes from the decision instead of re-placing the work.
-	decision *serve.DecisionNote
 }
 
 // JobView is the JSON view of a cluster job: the local serving layer's
@@ -365,55 +342,23 @@ type JobView struct {
 
 // View snapshots the job.
 func (j *Job) View() JobView {
+	l := j.life.Snapshot()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := JobView{
-		ID:       j.id,
-		Type:     j.req.Type,
-		State:    j.state,
-		Error:    j.errMsg,
-		Tenant:   j.req.Tenant,
-		Class:    j.req.Class,
-		WorkerID: j.workerID,
-		Attempts: j.attempts,
-		Results:  j.res,
-		Decision: j.decision,
+	return JobView{
+		ID:          j.id,
+		Type:        j.req.Type,
+		State:       l.State,
+		Error:       l.Err,
+		Tenant:      j.req.Tenant,
+		Class:       j.req.Class,
+		WorkerID:    j.workerID,
+		Attempts:    j.attempts,
+		QueueMillis: l.QueueMillis,
+		RunMillis:   l.RunMillis,
+		Results:     l.Results,
+		Decision:    l.Decision,
 	}
-	now := time.Now()
-	switch {
-	case j.state == serve.StateQueued:
-		v.QueueMillis = msOf(now.Sub(j.submitted))
-	case j.state == serve.StateRunning:
-		v.QueueMillis = msOf(j.shipped.Sub(j.submitted))
-		v.RunMillis = msOf(now.Sub(j.shipped))
-	default:
-		if !j.shipped.IsZero() {
-			v.QueueMillis = msOf(j.shipped.Sub(j.submitted))
-			v.RunMillis = msOf(j.finished.Sub(j.shipped))
-		} else {
-			v.QueueMillis = msOf(j.finished.Sub(j.submitted))
-		}
-	}
-	return v
-}
-
-func msOf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// live reports whether the job is still queued or running. It takes j.mu;
-// callers holding c.mu may call it (c.mu → j.mu is the established lock
-// order).
-func (j *Job) live() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == serve.StateQueued || j.state == serve.StateRunning
-}
-
-// releaseContent drops the job's in-flight content-digest binding; called
-// on every terminal transition so collapse only ever finds live jobs.
-func (c *Coordinator) releaseContent(j *Job) {
-	c.mu.Lock()
-	c.ledger.ReleaseContent(j.id)
-	c.mu.Unlock()
 }
 
 // Submit validates and accepts a request, returning the job; a goroutine
@@ -446,11 +391,11 @@ func (c *Coordinator) Submit(req serve.JobRequest) (*Job, error) {
 			if tenant == "" {
 				tenant = qos.DefaultTenant
 			}
-			return nil, &busyError{shed: &qos.ShedError{
+			return nil, serve.Shed(&qos.ShedError{
 				Tenant:     tenant,
 				Scope:      "global",
 				RetryAfter: c.sched.RetryAfter(req.Tenant),
-			}}
+			}, ErrBusy)
 		}
 		if c.pending.CompareAndSwap(cur, cur+1) {
 			break
@@ -463,12 +408,11 @@ func (c *Coordinator) Submit(req serve.JobRequest) (*Job, error) {
 	}
 	now := time.Now()
 	j := &Job{
-		req:       req,
-		body:      body,
-		submitted: now,
-		deadline:  now.Add(serve.TimeoutFor(&req, c.cfg.DefaultTimeout, c.cfg.MaxTimeout)),
-		state:     serve.StateQueued,
-		excluded:  make(map[string]bool),
+		req:      req,
+		body:     body,
+		deadline: now.Add(serve.TimeoutFor(&req, c.cfg.DefaultTimeout, c.cfg.MaxTimeout)),
+		life:     serve.NewLifecycle(now),
+		excluded: make(map[string]bool),
 	}
 	c.mu.Lock()
 	if prev, ok := c.ledger.Dedup(req.ID); ok {
@@ -495,8 +439,12 @@ func (c *Coordinator) Submit(req serve.JobRequest) (*Job, error) {
 	c.mu.Unlock()
 
 	// Durable before acknowledged: the accept record (carrying the verbatim
-	// request body) is what restart recovery re-places.
-	_ = c.cfg.Store.Accepted(j.id, req.ID, body)
+	// request body) is what restart recovery re-places. A job the WAL
+	// cannot take is refused before it is ever pushed.
+	if err := c.cfg.Store.Accepted(j.id, req.ID, body); err != nil {
+		c.retire(j, serve.StateError, "not journaled: "+err.Error())
+		return nil, fmt.Errorf("%w: %v", serve.ErrNotJournaled, err)
+	}
 	cls, _ := qos.ParseClass(req.Class) // validated above
 	c.jobsWG.Add(1)
 	victim, err := c.sched.Push(j, req.Tenant, cls)
@@ -510,7 +458,7 @@ func (c *Coordinator) Submit(req serve.JobRequest) (*Job, error) {
 		var shed *qos.ShedError
 		if errors.As(err, &shed) {
 			c.met.shed.Add(1)
-			return nil, &busyError{shed: shed}
+			return nil, serve.Shed(shed, ErrBusy)
 		}
 		return nil, ErrDraining
 	}
@@ -523,19 +471,14 @@ func (c *Coordinator) Submit(req serve.JobRequest) (*Job, error) {
 	return j, nil
 }
 
-// retire marks j terminal without it ever running, releases its identity
-// bindings (so a client retry is not deduped onto the corpse), journals
-// the outcome, and frees its pending slot.
+// retire binds j terminal without it ever running, after releasing its
+// identity bindings (so a client retry is not deduped onto the corpse),
+// and frees its pending slot.
 func (c *Coordinator) retire(j *Job, state serve.State, msg string) {
-	j.mu.Lock()
-	j.state = state
-	j.errMsg = msg
-	j.finished = time.Now()
-	j.mu.Unlock()
 	c.mu.Lock()
 	c.ledger.Release(j.id)
 	c.mu.Unlock()
-	_ = c.cfg.Store.Failed(j.id, msg)
+	c.bind(j, serve.Outcome{State: state, Err: msg})
 	c.pending.Add(-1)
 }
 
@@ -596,22 +539,22 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", c.handleList)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /debug/trace", c.handleTrace)
-	mux.HandleFunc("GET /healthz", c.handleHealth)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) { serve.WriteHealth(w, c.draining.Load()) })
 	return mux
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var info WorkerInfo
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&info); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 		return
 	}
 	if info.ID == "" || info.Addr == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "register needs id and addr"})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "register needs id and addr"})
 		return
 	}
 	index := c.reg.register(info, time.Now())
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	serve.WriteJSON(w, http.StatusOK, RegisterResponse{
 		Index:           index,
 		HeartbeatMillis: c.cfg.HeartbeatInterval.Milliseconds(),
 		ExpiryMillis:    c.cfg.HeartbeatExpiry.Milliseconds(),
@@ -621,13 +564,13 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb Heartbeat
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&hb); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 		return
 	}
 	if !c.reg.heartbeat(hb, time.Now()) {
 		// Unknown worker — likely a coordinator restart; the agent
 		// re-registers on 404.
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown worker; re-register"})
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown worker; re-register"})
 		return
 	}
 	// Fold the worker's recent-fills summary into the digest→workers
@@ -642,7 +585,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			c.memoIdx.add(k, hb.ID)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMemoLookup answers a worker's peer-location query for one digest:
@@ -651,12 +594,12 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleMemoLookup(w http.ResponseWriter, r *http.Request) {
 	k, err := memo.ParseKey(r.PathValue("digest"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad digest"})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad digest"})
 		return
 	}
 	ids := c.memoIdx.lookup(k, r.URL.Query().Get("exclude"))
 	if len(ids) == 0 {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "not indexed"})
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "not indexed"})
 		return
 	}
 	holders := make(map[string]struct{}, len(ids))
@@ -670,10 +613,10 @@ func (c *Coordinator) handleMemoLookup(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(locs) == 0 {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no live holder"})
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "no live holder"})
 		return
 	}
-	writeJSON(w, http.StatusOK, memoshare.LookupResponse{Workers: locs})
+	serve.WriteJSON(w, http.StatusOK, memoshare.LookupResponse{Workers: locs})
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -682,7 +625,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		c.met.rejected.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 		return
 	}
 	// Header fallback for QoS identity, mirroring the worker API: the JSON
@@ -696,29 +639,31 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := c.Submit(req)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, j.View())
+		serve.WriteJSON(w, http.StatusAccepted, j.View())
 	case errors.Is(err, errBadRequest):
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrBusy):
 		// Shed exactly like a saturated worker does, one level up: the
 		// pending bound is the cluster's admission queue, and the header
 		// advises the refused tenant's estimated drain time.
-		w.Header().Set("Retry-After", strconv.Itoa(busyRetryAfterSeconds(err)))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
+		w.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfter(err)))
+		serve.WriteJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "coordinator draining"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "coordinator draining"})
+	case errors.Is(err, serve.ErrNotJournaled):
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		serve.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 	}
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job id"})
+		serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job id"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View())
+	serve.WriteJSON(w, http.StatusOK, j.View())
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
@@ -731,13 +676,13 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		out[i] = j.View()
 		out[i].Results = serve.Results{} // the list view is a summary
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := c.Metrics()
 	if r.URL.Query().Get("format") != "text" {
-		writeJSON(w, http.StatusOK, snap)
+		serve.WriteJSON(w, http.StatusOK, snap)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -787,22 +732,4 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			ws.Inflight, ws.Shipped, ws.Completed, ws.Retried, ws.MemoHits)
 	}
 	fmt.Fprint(w, tab.String())
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	state := "ok"
-	code := http.StatusOK
-	if c.draining.Load() {
-		state = "draining"
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, map[string]string{"status": state})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
 }

@@ -69,7 +69,7 @@ func TestClusterQoSShedAndPreempt(t *testing.T) {
 	// Retry-After of at least the floor, and the busy identity holds.
 	if _, err := c.Submit(qosTreeReq("a", "low")); !errors.Is(err, ErrBusy) {
 		t.Fatalf("tenant-bound submit returned %v, want ErrBusy", err)
-	} else if ra := busyRetryAfterSeconds(err); ra < 1 {
+	} else if ra := serve.RetryAfter(err); ra < 1 {
 		t.Fatalf("Retry-After %d, want >= 1", ra)
 	}
 	if got := c.Metrics().Shed; got != 1 {

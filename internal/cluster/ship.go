@@ -78,7 +78,7 @@ func (c *Coordinator) run(j *Job) {
 		out := c.shipAndTrack(j, w)
 		switch out.kind {
 		case outcomeDone:
-			c.finish(j, out.result)
+			c.finish(j, out.result.Results)
 			return
 		case outcomeTerminal:
 			c.fail(j, out.msg)
@@ -193,11 +193,8 @@ func (c *Coordinator) shipAndTrack(j *Job, w WorkerView) shipOutcome {
 	}
 	c.consumeAttempt(j, w)
 	shippedAt := time.Now()
-	j.mu.Lock()
-	j.state = serve.StateRunning
-	j.shipped = shippedAt
-	j.mu.Unlock()
-	_ = c.cfg.Store.Placed(j.id, w.ID)
+	j.life.Start()
+	c.cfg.Store.Placed(j.id, w.ID)
 
 	fails := 0
 	for {
@@ -270,17 +267,10 @@ func (c *Coordinator) shipAndTrack(j *Job, w WorkerView) shipOutcome {
 // once in the coordinator's own WAL, durable before the poll loop moves
 // on. From then on the job can complete without the worker.
 func (c *Coordinator) harvestDecision(j *Job, note *serve.DecisionNote) {
-	j.mu.Lock()
-	if j.decision != nil {
-		j.mu.Unlock()
+	if !j.life.NoteDecision(note.Reason, note.Data) {
 		return
 	}
-	j.decision = &serve.DecisionNote{
-		Reason: note.Reason,
-		Data:   append(json.RawMessage(nil), note.Data...),
-	}
-	j.mu.Unlock()
-	_ = c.cfg.Store.Decision(j.id, note.Reason, note.Data)
+	c.cfg.Store.Decision(j.id, note.Reason, note.Data)
 	c.met.decisionsHarvested.Add(1)
 }
 
@@ -288,9 +278,7 @@ func (c *Coordinator) harvestDecision(j *Job, note *serve.DecisionNote) {
 // replayed) decision record, when the record alone determines the result.
 // True means the job is terminal and the placement loop must stop.
 func (c *Coordinator) completeFromDecision(j *Job) bool {
-	j.mu.Lock()
-	note := j.decision
-	j.mu.Unlock()
+	note := j.life.Snapshot().Decision
 	if note == nil || j.req.Type != serve.JobSearch || note.Reason != jobs.ReasonShortCircuit {
 		return false
 	}
@@ -300,14 +288,7 @@ func (c *Coordinator) completeFromDecision(j *Job) bool {
 		// placement rather than wedging the job.
 		return false
 	}
-	st := &serve.JobStatus{
-		ID:       j.id,
-		Type:     j.req.Type,
-		State:    serve.StateDone,
-		Results:  serve.Results{Search: res},
-		Decision: note,
-	}
-	c.finish(j, st)
+	c.finish(j, serve.Results{Search: res})
 	c.met.decisionCompletions.Add(1)
 	return true
 }
@@ -322,37 +303,47 @@ func (c *Coordinator) consumeAttempt(j *Job, w WorkerView) {
 	j.mu.Unlock()
 }
 
-// finish records terminal success and journals it.
-func (c *Coordinator) finish(j *Job, st *serve.JobStatus) {
-	j.mu.Lock()
-	j.state = serve.StateDone
-	j.finished = time.Now()
-	j.res = st.Results
-	j.mu.Unlock()
-	c.releaseContent(j)
-	if c.cfg.Store != nil {
-		if data, err := json.Marshal(st); err == nil {
-			_ = c.cfg.Store.Done(j.id, data)
-		}
-	}
+// finish binds terminal success.
+func (c *Coordinator) finish(j *Job, res serve.Results) {
 	c.met.done.Add(1)
-	c.met.observeLatency(time.Since(j.submitted))
+	c.met.observeLatency(time.Since(j.life.Submitted()))
+	c.bind(j, serve.Outcome{State: serve.StateDone, Results: res})
 }
 
-// fail records terminal failure and journals it — unless the coordinator
-// itself is going down, in which case the job stays incomplete in the log
-// so the next start re-places it like any other crash orphan.
+// fail binds terminal failure.
 func (c *Coordinator) fail(j *Job, msg string) {
-	j.mu.Lock()
-	j.state = serve.StateError
-	j.errMsg = msg
-	j.finished = time.Now()
-	j.mu.Unlock()
-	c.releaseContent(j)
-	if c.ctx.Err() == nil {
-		_ = c.cfg.Store.Failed(j.id, msg)
-	}
 	c.met.failed.Add(1)
+	c.bind(j, serve.Outcome{State: serve.StateError, Err: msg})
+}
+
+// bind binds j's outcome after the coordinator's side effects: the
+// ledger's content key is released, then the terminal record is appended
+// and applied; its fsync wait runs once the outcome is visible. A failure
+// while the coordinator itself is going down is not journaled: the job
+// stays incomplete in the log, so the next start re-places it like any
+// other crash orphan. Only the job's own run loop binds it once queued, so
+// ErrBound cannot occur.
+func (c *Coordinator) bind(j *Job, o serve.Outcome) {
+	_ = j.life.Bind(o, func(o serve.Outcome) func() {
+		c.mu.Lock()
+		c.ledger.ReleaseContent(j.id)
+		c.mu.Unlock()
+		switch {
+		case c.cfg.Store == nil:
+		case o.State != serve.StateDone:
+			if c.ctx.Err() == nil {
+				return c.cfg.Store.Finish(j.id, nil, o.Err)
+			}
+		default:
+			// The done record is the job's final status: what replay
+			// restores and answers polls with.
+			st := serve.JobStatus{ID: j.id, Type: j.req.Type, State: o.State, Results: o.Results}
+			if data, err := json.Marshal(st); err == nil {
+				return c.cfg.Store.Finish(j.id, data, "")
+			}
+		}
+		return nil
+	})
 }
 
 // sleep waits for d, cut short by coordinator shutdown and never past the

@@ -15,6 +15,13 @@ func openClusterStore(t *testing.T, dir string) *store.JobStore {
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
+	// Appends other than accepted report failures only through the
+	// store's errors counter, so every test store must end with none.
+	t.Cleanup(func() {
+		if n := js.Metrics().Errors; n != 0 {
+			t.Errorf("store counted %d append/fsync errors", n)
+		}
+	})
 	return js
 }
 

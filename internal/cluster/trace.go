@@ -5,19 +5,9 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
-
-// traceEventJSON is the wire form of one event, matching the serving
-// layer's /debug/trace JSON so worker streams can be re-parsed here.
-type traceEventJSON struct {
-	TMicros int64  `json:"t_us"`
-	Kind    string `json:"kind"`
-	Proc    int    `json:"proc"`
-	From    int    `json:"from,omitempty"`
-	Arg     int64  `json:"arg,omitempty"`
-	Label   string `json:"label,omitempty"`
-}
 
 // handleTrace serves the coordinator's event stream. With ?format=chrome
 // it additionally pulls every live worker's /debug/trace and merges the
@@ -64,18 +54,7 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 		_, _ = chrome.WriteTo(w)
 		return
 	}
-	out := make([]traceEventJSON, len(events))
-	for i, e := range events {
-		out[i] = traceEventJSON{
-			TMicros: e.Cycle, Kind: e.Kind.String(), Proc: e.Proc,
-			From: e.From, Arg: e.Arg, Label: e.Label,
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"total":   c.ring.Total(),
-		"dropped": c.ring.Dropped(),
-		"events":  out,
-	})
+	serve.WriteTrace(w, c.ring, events)
 }
 
 // fetchWorkerTrace pulls one worker's event stream and rebases it into the
@@ -93,7 +72,7 @@ func (c *Coordinator) fetchWorkerTrace(s traceSource, base int) []trace.Event {
 		return nil
 	}
 	var doc struct {
-		Events []traceEventJSON `json:"events"`
+		Events []serve.TraceEventJSON `json:"events"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return nil

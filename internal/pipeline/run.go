@@ -307,9 +307,10 @@ func (e *exec) instrument(specIdx int, sr *StageResult, st *StageSpec, body func
 						return true
 					}
 					if checkpointing {
-						if idx >= ckptStride-1 ||
-							e.env.Store.Checkpoint(e.env.JobID, ckptNode(specIdx, idx), blob) != nil {
-							checkpointing = false // durability is best-effort
+						if idx >= ckptStride-1 {
+							checkpointing = false
+						} else {
+							e.env.Store.Checkpoint(e.env.JobID, ckptNode(specIdx, idx), blob)
 						}
 					}
 					if memoing {
@@ -338,7 +339,7 @@ func (e *exec) instrument(specIdx int, sr *StageResult, st *StageSpec, body func
 			// prefix reuse.
 			if checkpointing {
 				if blob, merr := json.Marshal(sr.Out); merr == nil {
-					_ = e.env.Store.Checkpoint(e.env.JobID, ckptMarker(specIdx), blob)
+					e.env.Store.Checkpoint(e.env.JobID, ckptMarker(specIdx), blob)
 				}
 			}
 			if memoing {

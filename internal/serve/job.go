@@ -185,20 +185,13 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	submitted time.Time
+	// life holds the job's state, timing, decision and outcome.
+	// Unexported: only Server.bind binds it.
+	life *Lifecycle
 
 	mu        sync.Mutex
-	state     State
-	started   time.Time
-	finished  time.Time
 	worker    int
 	batchSize int
-	res       Results
-	// decision is the mid-flight commitment this job journaled (e.g. the
-	// shortcircuit winner), surfaced on the status while the job is still
-	// running so the cluster coordinator can harvest it before a worker dies.
-	decision *DecisionNote
-	err      error
 
 	// stream carries a pipeline job's records to GET /v1/jobs/{id}/stream
 	// readers as they are produced; nil for non-pipeline jobs.
@@ -259,59 +252,30 @@ type DecisionNote struct {
 
 // Status snapshots the job.
 func (j *Job) Status() JobStatus {
+	l := j.life.Snapshot()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:        j.id,
-		Type:      j.req.Type,
-		State:     j.state,
-		Worker:    j.worker,
-		BatchSize: j.batchSize,
-		Tenant:    j.req.Tenant,
-		Class:     j.req.Class,
-		Results:   j.res,
-		Decision:  j.decision,
+	return JobStatus{
+		ID:          j.id,
+		Type:        j.req.Type,
+		State:       l.State,
+		Error:       l.Err,
+		QueueMillis: l.QueueMillis,
+		RunMillis:   l.RunMillis,
+		Worker:      j.worker,
+		BatchSize:   j.batchSize,
+		Tenant:      j.req.Tenant,
+		Class:       j.req.Class,
+		Results:     l.Results,
+		Decision:    l.Decision,
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	now := time.Now()
-	switch j.state {
-	case StateQueued:
-		st.QueueMillis = ms(now.Sub(j.submitted))
-	case StateRunning:
-		st.QueueMillis = ms(j.started.Sub(j.submitted))
-		st.RunMillis = ms(now.Sub(j.started))
-	default:
-		if !j.started.IsZero() {
-			st.QueueMillis = ms(j.started.Sub(j.submitted))
-			st.RunMillis = ms(j.finished.Sub(j.started))
-		} else {
-			st.QueueMillis = ms(j.finished.Sub(j.submitted))
-		}
-	}
-	return st
-}
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// live reports whether the job is still queued or running.
-func (j *Job) live() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == StateQueued || j.state == StateRunning
 }
 
 // Validate normalizes the request in place and rejects malformed specs up
-// front, so admission failures are 400s rather than queued errors. It is
-// exported for other serving front ends — the cluster coordinator validates
-// at admission with the same rules, so a job never ships only to be
-// rejected by the worker.
-func (r *JobRequest) Validate() error { return r.validate() }
-
-// validate normalizes the request and rejects malformed specs up front, so
-// admission failures are 400s rather than queued errors.
-func (r *JobRequest) validate() error {
+// front, so admission failures are 400s rather than queued errors. The
+// cluster coordinator validates at admission with the same rules, so a job
+// never ships only to be rejected by the worker.
+func (r *JobRequest) Validate() error {
 	if len(r.Label) > 256 {
 		return fmt.Errorf("label too long (%d bytes, max 256)", len(r.Label))
 	}
@@ -508,14 +472,6 @@ func runTree(ctx context.Context, spec *TreeSpec, opts skel.ReduceOptions, cache
 		ResumedNodes:  stats.CheckpointHits,
 		MemoNodes:     stats.MemoHits,
 	}, nil
-}
-
-// noteDecision publishes a journaled decision on the job's status. Called
-// from the store-decision hook, after the record is durable.
-func (j *Job) noteDecision(reason string, data []byte) {
-	j.mu.Lock()
-	j.decision = &DecisionNote{Reason: reason, Data: append(json.RawMessage(nil), data...)}
-	j.mu.Unlock()
 }
 
 // intLeafDigest digests one arithmetic-tree leaf value.

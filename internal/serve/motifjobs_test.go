@@ -105,9 +105,7 @@ func TestSearchDecisionSurvivesRestart(t *testing.T) {
 	}
 	ghost := jobs.Match{Seq: "ghost", SeqIndex: 42, Pos: 7}
 	blob, _ := json.Marshal(ghost)
-	if err := js.Decision(id, jobs.ReasonShortCircuit, blob); err != nil {
-		t.Fatal(err)
-	}
+	js.Decision(id, jobs.ReasonShortCircuit, blob)
 	if err := js.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +232,7 @@ func TestGridJobResumesFromJournaledSnapshot(t *testing.T) {
 	if _, err := jobs.RunGrid(context.Background(), partial, &jobs.Env{
 		Workers: 2,
 		Checkpoint: func(key string, data []byte) {
-			if err := js.CheckpointKey(id, key, data); err != nil {
-				t.Errorf("checkpoint: %v", err)
-			}
+			js.CheckpointKey(id, key, data)
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -265,7 +261,7 @@ func TestGridJobResumesFromJournaledSnapshot(t *testing.T) {
 // sort digest; FirstOnly search does not.
 func TestMotifContentKeys(t *testing.T) {
 	mk := func(req JobRequest) JobRequest {
-		if err := req.validate(); err != nil {
+		if err := req.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		return req
@@ -321,4 +317,53 @@ func TestMotifJobMemoHit(t *testing.T) {
 	if got := s.Metrics().MemoJobHits; got != 1 {
 		t.Fatalf("memo job hits = %d, want 1", got)
 	}
+}
+
+// TestSearchDecisionBeforeAcceptedHonoured: motifd journals accepted after
+// the push, so a fast search's decision can reach the WAL first. The store
+// holds it for the accepted record, and the job honours it — live, in the
+// daemon that accepted the job, and after a restart.
+func TestSearchDecisionBeforeAcceptedHonoured(t *testing.T) {
+	req := JobRequest{Type: JobSearch, Search: &jobs.SearchSpec{
+		Pattern: "ACGU", Fasta: ">a\nACGUACGUAA\n", FirstOnly: true}}
+	ghost := jobs.Match{Seq: "ghost", SeqIndex: 42, Pos: 7}
+	blob, _ := json.Marshal(ghost)
+	honoured := func(st JobStatus, phase string) {
+		t.Helper()
+		if st.State != StateDone || st.Search == nil || !st.Search.ResumedDecision ||
+			len(st.Search.Matches) != 1 || st.Search.Matches[0] != ghost || st.Search.Units != 0 {
+			t.Fatalf("%s: decision not honoured: %s %+v", phase, st.State, st.Search)
+		}
+	}
+
+	// Live: the decision for the job's id is in the log before Submit
+	// journals accepted; the worker is held until it has.
+	dir := t.TempDir()
+	js := openServeStore(t, dir)
+	s := New(Config{Workers: 1, InnerWorkers: 2, QueueCap: 8, Store: js})
+	release := blockWorkers(t, s, 1)
+	js.Decision("j000002", jobs.ReasonShortCircuit, blob)
+	j, err := s.Submit(req)
+	if err != nil || j.id != "j000002" {
+		t.Fatalf("submit: %v (id %v)", err, j)
+	}
+	release()
+	honoured(waitTerminal(t, s, j.id), "live")
+	shutdownServer(t, s)
+	js.Close()
+
+	// Replay: decision first, then accepted, then a crash.
+	dir = t.TempDir()
+	js = openServeStore(t, dir)
+	body, _ := json.Marshal(req)
+	js.Decision("j000001", jobs.ReasonShortCircuit, blob)
+	if err := js.Accepted("j000001", "", body); err != nil {
+		t.Fatal(err)
+	}
+	js.Close()
+	js = openServeStore(t, dir)
+	defer js.Close()
+	s = New(Config{Workers: 1, InnerWorkers: 2, QueueCap: 8, Store: js})
+	defer shutdownServer(t, s)
+	honoured(waitTerminal(t, s, "j000001"), "replay")
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"time"
 
 	"repro/internal/jobs"
@@ -20,7 +19,7 @@ import (
 func (s *Server) worker(w int) {
 	defer s.workerWG.Done()
 	for {
-		j, ok := s.q.pop()
+		j, ok := s.q.pop(true)
 		if !ok {
 			return
 		}
@@ -44,7 +43,7 @@ func (s *Server) gather(first *Job) []*Job {
 		return batch
 	}
 	for len(batch) < s.cfg.BatchMax {
-		j, ok := s.q.tryPop()
+		j, ok := s.q.pop(false)
 		if !ok {
 			return batch
 		}
@@ -107,18 +106,16 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 	j.mu.Lock()
 	j.worker = w
 	j.batchSize = batchSize
+	j.mu.Unlock()
 	if err := j.ctx.Err(); err != nil {
 		// Deadline spent entirely in the queue: fail without running.
-		j.state = StateError
-		j.err = errors.New("deadline exceeded while queued")
-		j.finished = time.Now()
-		j.mu.Unlock()
-		s.finish(j, false)
+		s.bind(j, Outcome{State: StateError, Err: "deadline exceeded while queued"})
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
+	if !j.life.Start() {
+		return // refused while queued
+	}
+	start := time.Now()
 
 	s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindExecStart,
 		Proc: w, From: -1, Label: string(j.req.Type) + ":" + j.id})
@@ -128,18 +125,7 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 	if !cached {
 		res, err = j.execute(s.reduceOpts(j), s.memo, s.pipelineEnv(j), s.motifEnv(j))
 	}
-
-	j.mu.Lock()
-	j.finished = time.Now()
-	if err != nil {
-		j.state = StateError
-		j.err = err
-	} else {
-		j.state = StateDone
-	}
-	j.res = res
-	dur := j.finished.Sub(j.started)
-	j.mu.Unlock()
+	dur := time.Since(start)
 	var resumed int64
 	switch {
 	case res.Tree != nil:
@@ -158,7 +144,11 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 	s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindExecFinish,
 		Proc: w, From: -1, Arg: dur.Microseconds(), Label: string(j.req.Type) + ":" + j.id})
 	s.met.workers[w].jobs.Add(1)
-	s.finish(j, err == nil)
+	o := Outcome{State: StateDone, Results: res}
+	if err != nil {
+		o = Outcome{State: StateError, Err: err.Error()}
+	}
+	s.bind(j, o)
 }
 
 // resolveFromCache answers a running job from the content-addressed tier
@@ -230,16 +220,14 @@ func (s *Server) motifEnv(j *Job) *jobs.Env {
 	// local WAL — so a cluster coordinator polling this worker can journal
 	// the commitment on its own side of the fence.
 	env.Decision = func(reason string, data []byte) {
-		if st != nil {
-			_ = st.Decision(id, reason, data)
-		}
-		j.noteDecision(reason, data)
+		st.Decision(id, reason, data)
+		j.life.NoteDecision(reason, data)
 	}
 	if st == nil {
 		return env
 	}
 	env.Checkpoint = func(key string, data []byte) {
-		_ = st.CheckpointKey(id, key, data)
+		st.CheckpointKey(id, key, data)
 	}
 	if ckpts := st.CheckpointsKey(id); len(ckpts) > 0 {
 		env.Resume = func(key string) ([]byte, bool) {
@@ -253,7 +241,7 @@ func (s *Server) motifEnv(j *Job) *jobs.Env {
 			if ok {
 				// Replayed lives surface the inherited decision too, so a
 				// poller sees it even before the engine finishes honoring it.
-				j.noteDecision(reason, raw)
+				j.life.NoteDecision(reason, raw)
 			}
 			return raw, ok
 		}
@@ -261,46 +249,63 @@ func (s *Server) motifEnv(j *Job) *jobs.Env {
 	return env
 }
 
-// finish records terminal accounting for j, fills the memo cache, and
-// journals the outcome.
-func (s *Server) finish(j *Job, ok bool) {
-	if ok {
+// bind binds j's outcome through motifd's terminal side effects. A job
+// refused while it ran is already bound; its worker's Bind then changes
+// nothing, so ErrBound needs no handling here.
+func (s *Server) bind(j *Job, o Outcome) {
+	_ = j.life.Bind(o, func(o Outcome) func() { return s.settle(j, o) })
+}
+
+// settle runs j's terminal side effects before its outcome is visible:
+// count it, fill the memo with a cacheable success, release the ledger's
+// content key, then append the terminal record and apply it to the
+// store. It returns what follows publication: the record's fsync wait,
+// then the NDJSON stream's EOF, so a client that sees EOF can poll the
+// final status at once.
+func (s *Server) settle(j *Job, o Outcome) (after func()) {
+	switch o.State {
+	case StateDone:
 		s.met.done.Add(1)
-	} else {
+	case StateError:
 		s.met.failed.Add(1)
 	}
-	s.met.observeLatency(time.Since(j.submitted))
-	if s.memo != nil && j.hasKey {
-		// The job is terminal: retire its singleflight entry and, on
-		// success, publish the result under its content digest so future
-		// identical submissions answer without queueing.
-		s.mu.Lock()
-		s.ledger.ReleaseContent(j.id)
-		s.mu.Unlock()
-		if ok {
-			j.mu.Lock()
-			blob := memoPayload(j.res)
-			j.mu.Unlock()
-			if blob != nil {
+	if o.State != StatePreempted {
+		s.met.observeLatency(time.Since(j.life.Submitted()))
+	}
+	if j.hasKey {
+		// Publish a success under its content digest so future identical
+		// submissions answer without queueing, then retire the
+		// singleflight entry.
+		if o.State == StateDone {
+			if blob := memoPayload(o.Results); blob != nil {
 				s.memo.Put(j.key, blob)
 			}
 		}
+		s.mu.Lock()
+		s.ledger.ReleaseContent(j.id)
+		s.mu.Unlock()
 	}
+	durable := func() {}
 	if s.cfg.Store != nil {
-		st := j.Status()
-		if ok {
-			if data, err := json.Marshal(st); err == nil {
-				_ = s.cfg.Store.Done(j.id, data)
-			}
-		} else {
-			_ = s.cfg.Store.Failed(j.id, st.Error)
+		if o.State != StateDone {
+			durable = s.cfg.Store.Finish(j.id, nil, o.Err)
+		} else if data, err := json.Marshal(j.final(o)); err == nil {
+			durable = s.cfg.Store.Finish(j.id, data, "")
 		}
 	}
-	// End the NDJSON stream last, after the terminal outcome is durable, so
-	// a client that sees EOF can immediately poll the final status.
-	if j.stream != nil {
-		j.stream.close()
+	return func() {
+		durable()
+		if j.stream != nil {
+			j.stream.close()
+		}
 	}
+}
+
+// final is the status j shows once o is bound: its WAL done record.
+func (j *Job) final(o Outcome) JobStatus {
+	st := j.Status()
+	st.State, st.Error, st.Results = o.State, o.Err, o.Results
+	return st
 }
 
 // reduceOpts are the skeleton options every job body runs with: the inner
@@ -328,7 +333,7 @@ func (s *Server) reduceOpts(j *Job) skel.ReduceOptions {
 			return
 		}
 		if data, err := json.Marshal(val); err == nil {
-			_ = st.Checkpoint(id, node, data)
+			st.Checkpoint(id, node, data)
 		}
 	}
 	if ckpts := st.Checkpoints(id); len(ckpts) > 0 {

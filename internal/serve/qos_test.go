@@ -181,12 +181,11 @@ func TestQoSWeightedDrainOrder(t *testing.T) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		j := &Job{
-			req:       JobRequest{Type: JobTree, Tree: &TreeSpec{Leaves: 4}, Tenant: tenant},
-			ctx:       ctx,
-			cancel:    cancel,
-			submitted: time.Now(),
-			state:     StateQueued,
-			worker:    -1,
+			req:    JobRequest{Type: JobTree, Tree: &TreeSpec{Leaves: 4}, Tenant: tenant},
+			ctx:    ctx,
+			cancel: cancel,
+			life:   NewLifecycle(time.Now()),
+			worker: -1,
 			testBody: func(context.Context) error {
 				mu.Lock()
 				mu.order = append(mu.order, tenant)

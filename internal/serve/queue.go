@@ -38,22 +38,27 @@ func newQueue(opt qos.Options) *queue {
 	return &queue{sched: qos.New(opt)}
 }
 
-// queueFullError carries the scheduler's drain-derived shed advice while
-// still matching the errors.Is(err, ErrQueueFull) checks existing callers
-// rely on.
-type queueFullError struct {
+// shedError carries the scheduler's drain-derived shed advice under a
+// sentinel identity (ErrQueueFull here, motifctl's ErrBusy one level up),
+// so errors.Is checks keep working while the HTTP layer advises the
+// refused tenant's actual drain time.
+type shedError struct {
 	shed *qos.ShedError
+	is   error
 }
 
-func (e *queueFullError) Error() string { return e.shed.Error() }
-func (e *queueFullError) Unwrap() error { return ErrQueueFull }
+func (e *shedError) Error() string { return e.shed.Error() }
+func (e *shedError) Unwrap() error { return e.is }
 
-// retryAfterSeconds extracts the drain-derived Retry-After from a shed
-// error, falling back to the legacy constant for errors without one.
-func retryAfterSeconds(err error) int {
-	var qf *queueFullError
-	if errors.As(err, &qf) {
-		return qf.shed.RetryAfterSeconds()
+// Shed wraps a scheduler refusal under the sentinel is.
+func Shed(shed *qos.ShedError, is error) error { return &shedError{shed: shed, is: is} }
+
+// RetryAfter extracts the drain-derived Retry-After from a shed error,
+// falling back to the legacy constant for errors without one.
+func RetryAfter(err error) int {
+	var se *shedError
+	if errors.As(err, &se) {
+		return se.shed.RetryAfterSeconds()
 	}
 	return RetryAfterSeconds
 }
@@ -67,7 +72,7 @@ func (q *queue) tryPush(j *Job) (victim *Job, err error) {
 	if err != nil {
 		var shed *qos.ShedError
 		if errors.As(err, &shed) {
-			return nil, &queueFullError{shed: shed}
+			return nil, Shed(shed, ErrQueueFull)
 		}
 		if errors.Is(err, qos.ErrClosed) {
 			return nil, ErrDraining
@@ -87,31 +92,13 @@ func (q *queue) pushResumed(j *Job) {
 	_ = q.sched.PushForce(j, j.req.Tenant, j.req.qosClass())
 }
 
-// pop blocks for the next job in scheduling order, returning ok == false
-// once the queue is closed and drained — the workers' exit signal.
-func (q *queue) pop() (*Job, bool) {
-	v, ok := q.sched.Pop(true)
+// pop returns the next job in scheduling order. Blocking, ok == false
+// means the queue is closed and drained — the workers' exit signal; not
+// blocking (the batcher's drain), that nothing is queued right now.
+func (q *queue) pop(block bool) (*Job, bool) {
+	v, ok := q.sched.Pop(block)
 	if !ok {
 		return nil, false
 	}
 	return v.(*Job), true
 }
-
-// tryPop returns immediately; ok == false means nothing is queued right
-// now. The batcher uses it to drain extra work without blocking.
-func (q *queue) tryPop() (*Job, bool) {
-	v, ok := q.sched.Pop(false)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Job), true
-}
-
-// close stops admission; workers drain what was already accepted.
-func (q *queue) close() { q.sched.Close() }
-
-// depth is the number of admitted jobs not yet picked up by a worker.
-func (q *queue) depth() int { return q.sched.Depth() }
-
-// capacity is the global queue bound.
-func (q *queue) capacity() int { return q.sched.Capacity() }

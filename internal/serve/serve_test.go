@@ -44,13 +44,12 @@ func submitBody(t *testing.T, s *Server, fn func(ctx context.Context) error) *Jo
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	j := &Job{
-		req:       JobRequest{Type: JobTree, Tree: &TreeSpec{Leaves: 4}},
-		ctx:       ctx,
-		cancel:    cancel,
-		submitted: time.Now(),
-		state:     StateQueued,
-		worker:    -1,
-		testBody:  fn,
+		req:      JobRequest{Type: JobTree, Tree: &TreeSpec{Leaves: 4}},
+		ctx:      ctx,
+		cancel:   cancel,
+		life:     NewLifecycle(time.Now()),
+		worker:   -1,
+		testBody: fn,
 	}
 	s.mu.Lock()
 	j.id = s.ledger.Admit(j, "", memo.Key{}, false)
@@ -85,24 +84,19 @@ func blockWorkers(t *testing.T, s *Server, n int) (release func()) {
 	return func() { close(releaseCh) }
 }
 
-// waitTerminal polls until the job leaves queued/running.
+// waitTerminal waits until the job's outcome is bound.
 func waitTerminal(t *testing.T, s *Server, id string) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j, ok := s.Job(id)
-		if !ok {
-			t.Fatalf("job %s vanished", id)
-		}
-		st := j.Status()
-		if st.State == StateDone || st.State == StateError {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", id, st.State)
-		}
-		time.Sleep(2 * time.Millisecond)
+	j, ok := s.Job(id)
+	if !ok {
+		t.Fatalf("job %s vanished", id)
 	}
+	select {
+	case <-j.life.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("job %s stuck in %s", id, j.life.State())
+	}
+	return j.Status()
 }
 
 func shutdownServer(t *testing.T, s *Server) {

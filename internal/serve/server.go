@@ -145,7 +145,7 @@ func New(cfg Config) *Server {
 		ring:   trace.NewRing(cfg.TraceCap),
 		memo:   memo.New(cfg.MemoBytes),
 		pipe:   pipeline.NewMetrics(),
-		ledger: NewLedger("j", cfg.MaxJobs, (*Job).live),
+		ledger: NewLedger("j", cfg.MaxJobs, func(j *Job) bool { return j.life.Live() }),
 	}
 	s.memo.SetTracer(s.ring)
 	s.provider = memoshare.NewProvider(s.memo)
@@ -181,7 +181,7 @@ func New(cfg Config) *Server {
 // background in that case.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	s.q.close()
+	s.q.sched.Close()
 	done := make(chan struct{})
 	go func() {
 		s.workerWG.Wait()
@@ -207,7 +207,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // claims the idempotency key, so no duplicate can race past the dedup
 // check into a second execution.
 func (s *Server) Submit(req JobRequest) (*Job, error) {
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		s.met.rejected.Add(1)
 		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
@@ -219,14 +219,13 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	ctx, cancel := context.WithTimeout(context.Background(),
 		TimeoutFor(&req, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 	j := &Job{
-		req:       req,
-		ctx:       ctx,
-		cancel:    cancel,
-		submitted: time.Now(),
-		state:     StateQueued,
-		worker:    -1,
-		key:       key,
-		hasKey:    haveKey,
+		req:    req,
+		ctx:    ctx,
+		cancel: cancel,
+		life:   NewLifecycle(time.Now()),
+		worker: -1,
+		key:    key,
+		hasKey: haveKey,
 	}
 	if req.Type == JobPipeline {
 		// The stream must exist before the job is published: a client may
@@ -259,17 +258,16 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 		v, _ := s.memo.Get(key)
 		blob, _ := v.(memo.Bytes)
 		if res, ok := memoResults(blob); ok {
-			j.res = res
-			j.state = StateDone
-			j.finished = time.Now()
+			// Answered from the memo: nothing to fill or release later.
+			j.hasKey = false
 			j.id = s.ledger.Admit(j, req.ID, memo.Key{}, false)
 			s.mu.Unlock()
 			cancel()
-			s.met.admitted.Add(1)
+			if err := s.accept(j); err != nil {
+				return nil, err
+			}
 			s.met.memoHits.Add(1)
-			s.met.done.Add(1)
-			s.met.observeLatency(time.Since(j.submitted))
-			s.journalCached(j)
+			s.bind(j, Outcome{State: StateDone, Results: res})
 			return j, nil
 		}
 	}
@@ -288,42 +286,50 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	if victim != nil {
 		// The scheduler evicted a queued lower-class job to admit this one;
 		// fail it back to its client as retriable.
-		s.preemptJob(victim)
+		s.refuse(victim, Outcome{State: StatePreempted, Err: qos.ErrPreempted.Error()})
+		s.met.preempted.Add(1)
 	}
-	s.met.admitted.Add(1)
-	// Journal after the job is admitted and before the caller is told, so
-	// an accepted response always refers to a durable job.
-	if s.cfg.Store != nil {
-		if body, err := json.Marshal(req); err == nil {
-			_ = s.cfg.Store.Accepted(j.id, req.ID, body)
-		}
+	// Journal after the push, so the WAL's fsync is not on the job's path
+	// to a worker, and before the caller is told, so an accepted response
+	// always refers to a durable job.
+	if err := s.accept(j); err != nil {
+		return nil, err
 	}
 	s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindEnqueue,
-		Proc: -1, From: -1, Arg: int64(s.q.depth()), Label: string(req.Type) + ":" + j.id})
+		Proc: -1, From: -1, Arg: int64(s.q.sched.Depth()), Label: string(req.Type) + ":" + j.id})
 	return j, nil
 }
 
-// preemptJob finishes a queued job the QoS layer evicted for a
-// higher-class arrival: terminal state "preempted", retriable by contract
-// (the work never started). Its idempotency and singleflight claims are
-// released so a resubmission runs fresh instead of finding the corpse.
-func (s *Server) preemptJob(j *Job) {
-	j.mu.Lock()
-	j.state = StatePreempted
-	j.err = qos.ErrPreempted
-	j.finished = time.Now()
-	j.mu.Unlock()
+// accept journals j's accepted record and counts the admission. A record
+// that cannot be journaled refuses the job: it is failed without running
+// (or cancelled, should a worker have it already) and Submit answers
+// ErrNotJournaled.
+func (s *Server) accept(j *Job) error {
+	var err error
+	if s.cfg.Store != nil {
+		var body []byte
+		if body, err = json.Marshal(j.req); err == nil {
+			err = s.cfg.Store.Accepted(j.id, j.req.ID, body)
+		}
+	}
+	if err != nil {
+		s.refuse(j, Outcome{State: StateError, Err: "not journaled: " + err.Error()})
+		return fmt.Errorf("%w: %v", ErrNotJournaled, err)
+	}
+	s.met.admitted.Add(1)
+	return nil
+}
+
+// refuse binds a job that must not run — a queued job the QoS layer
+// evicted for a higher-class arrival, or one whose accepted record could
+// not be journaled — and releases its idempotency and singleflight claims,
+// so a resubmission runs fresh instead of finding the corpse.
+func (s *Server) refuse(j *Job, o Outcome) {
 	j.cancel()
-	s.met.preempted.Add(1)
 	s.mu.Lock()
 	s.ledger.Release(j.id)
 	s.mu.Unlock()
-	if s.cfg.Store != nil {
-		_ = s.cfg.Store.Failed(j.id, qos.ErrPreempted.Error())
-	}
-	if j.stream != nil {
-		j.stream.close()
-	}
+	s.bind(j, o)
 }
 
 // unpublish rolls a job back out of the history after a failed enqueue.
@@ -331,20 +337,6 @@ func (s *Server) unpublish(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ledger.Remove(j.id)
-}
-
-// journalCached journals a cache-answered job so it stays pollable across
-// a restart, like any other accepted-and-finished job.
-func (s *Server) journalCached(j *Job) {
-	if s.cfg.Store == nil {
-		return
-	}
-	if body, err := json.Marshal(j.req); err == nil {
-		_ = s.cfg.Store.Accepted(j.id, j.req.ID, body)
-	}
-	if data, err := json.Marshal(j.Status()); err == nil {
-		_ = s.cfg.Store.Done(j.id, data)
-	}
 }
 
 // Job returns the job with the given id, if still in the history window.
@@ -373,7 +365,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		pipeSnap = ps
 	}
 	qosSnap := s.q.sched.Snapshot()
-	m := s.met.snapshot(s.q.depth(), s.q.capacity(), s.ring.Total(), s.cfg.Store.Metrics(), memoSnap, pipeSnap, &qosSnap)
+	m := s.met.snapshot(s.q.sched.Depth(), s.q.sched.Capacity(), s.ring.Total(), s.cfg.Store.Metrics(), memoSnap, pipeSnap, &qosSnap)
 	if s.memo != nil {
 		var ms memoshare.Stats
 		s.provider.AddTo(&ms)
@@ -410,6 +402,10 @@ func (s *Server) Tracer() trace.Tracer { return s.ring }
 // errBadRequest marks validation failures for the HTTP layer.
 var errBadRequest = errors.New("bad request")
 
+// ErrNotJournaled refuses a job whose accepted record the WAL could not
+// take; both daemons answer it with 503.
+var ErrNotJournaled = errors.New("job not journaled")
+
 // Handler returns the HTTP API:
 //
 //	POST /v1/jobs               submit a job; 202 with the job id, 429 when shed
@@ -430,13 +426,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/memo/{digest}", s.handleMemoGet)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/trace", s.handleTrace)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) { WriteHealth(w, s.draining.Load()) })
 	return mux
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server draining"})
 		return
 	}
 	var req JobRequest
@@ -444,7 +440,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.met.rejected.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 		return
 	}
 	// Headers carry QoS identity for clients that can't touch the body
@@ -458,28 +454,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.Submit(req)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, j.Status())
+		WriteJSON(w, http.StatusAccepted, j.Status())
 	case errors.Is(err, errBadRequest):
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrQueueFull):
 		// Load shedding: tell the client when its tenant's queue is
 		// expected to have drained instead of buffering without bound.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(err)))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfter(err)))
+		WriteJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server draining"})
+	case errors.Is(err, ErrNotJournaled):
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 	}
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job id"})
+		WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job id"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	WriteJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -492,7 +490,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		out[i] = j.Status()
 		out[i].Results = Results{} // the list view is a summary
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 // handleMemoGet is the peer memo tier's read-only surface: serve one local
@@ -506,7 +504,7 @@ func (s *Server) handleMemoGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.Metrics()
 	if r.URL.Query().Get("format") != "text" {
-		writeJSON(w, http.StatusOK, snap)
+		WriteJSON(w, http.StatusOK, snap)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -570,8 +568,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.BusyTimeline(s.ring.Events(), snap.Workers, makespan, 72))
 }
 
-// traceEventJSON is the wire form of one event on /debug/trace.
-type traceEventJSON struct {
+// TraceEventJSON is the wire form of one event on /debug/trace, for
+// motifd and motifctl alike.
+type TraceEventJSON struct {
 	TMicros int64  `json:"t_us"`
 	Kind    string `json:"kind"`
 	Proc    int    `json:"proc"`
@@ -597,31 +596,36 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	out := make([]traceEventJSON, len(events))
+	WriteTrace(w, s.ring, events)
+}
+
+// WriteTrace answers a /debug/trace request with the ring's events as JSON.
+func WriteTrace(w http.ResponseWriter, ring *trace.Ring, events []trace.Event) {
+	out := make([]TraceEventJSON, len(events))
 	for i, e := range events {
-		out[i] = traceEventJSON{
+		out[i] = TraceEventJSON{
 			TMicros: e.Cycle, Kind: e.Kind.String(), Proc: e.Proc,
 			From: e.From, Arg: e.Arg, Label: e.Label,
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"total":   s.ring.Total(),
-		"dropped": s.ring.Dropped(),
+	WriteJSON(w, http.StatusOK, map[string]any{
+		"total":   ring.Total(),
+		"dropped": ring.Dropped(),
 		"events":  out,
 	})
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	state := "ok"
-	code := http.StatusOK
-	if s.draining.Load() {
-		state = "draining"
-		code = http.StatusServiceUnavailable
+// WriteHealth answers GET /healthz: ok, or 503 once draining.
+func WriteHealth(w http.ResponseWriter, draining bool) {
+	if draining {
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		return
 	}
-	writeJSON(w, code, map[string]string{"status": state})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON body of a response with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)

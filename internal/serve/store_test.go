@@ -17,6 +17,13 @@ func openServeStore(t *testing.T, dir string) *store.JobStore {
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
+	// Appends other than accepted report failures only through the
+	// store's errors counter, so every test store must end with none.
+	t.Cleanup(func() {
+		if n := js.Metrics().Errors; n != 0 {
+			t.Errorf("store counted %d append/fsync errors", n)
+		}
+	})
 	return js
 }
 
@@ -117,7 +124,7 @@ func TestStoreResumesIncompleteTreeJob(t *testing.T) {
 				return
 			}
 			if data, err := json.Marshal(v.(int64)); err == nil {
-				_ = js.Checkpoint(id, node, data)
+				js.Checkpoint(id, node, data)
 			}
 		},
 	})
@@ -154,6 +161,48 @@ func TestStoreResumesIncompleteTreeJob(t *testing.T) {
 	}
 }
 
+// TestDeadJobCheckpointsNotInherited: motifd journals accepted after the
+// enqueue, so a crash can leave checkpoints for an id no client was ever
+// given. The restarted server must not hand that id to a new job, which
+// would resume from the dead job's partials and answer wrongly.
+func TestDeadJobCheckpointsNotInherited(t *testing.T) {
+	dir := t.TempDir()
+	js := openServeStore(t, dir)
+	const dead = "j000001"
+	for node := 1; node < 200; node++ {
+		js.Checkpoint(dead, node, []byte(`1000000`))
+	}
+	if err := js.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	js2 := openServeStore(t, dir)
+	s := New(Config{Workers: 1, InnerWorkers: 2, QueueCap: 8, Store: js2})
+	if d, ok := s.Job(dead); !ok || d.Status().State != StateError {
+		t.Fatalf("dead job %s not replayed as failed", dead)
+	}
+	j, err := s.Submit(JobRequest{Type: JobTree, Tree: &TreeSpec{Leaves: 64, Seed: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.id == dead {
+		t.Fatalf("new job reused the dead job's id %s", dead)
+	}
+	st := waitTerminal(t, s, j.id)
+	tree := workload.SkelTree(workload.IntTree(64, workload.ShapeRandom, 9))
+	want, _, err := skel.TreeReduce(context.Background(), tree, intEval, skel.ReduceOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Tree == nil || st.Tree.Value != want || st.Tree.ResumedNodes != 0 {
+		t.Fatalf("new job = %+v, want value %d from a cold run", st, want)
+	}
+	shutdownServer(t, s)
+	if err := js2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStoreFailedJobRecovered checks the failure side of recovery: a
 // journaled failure replays as an error status, not a rerun.
 func TestStoreFailedJobRecovered(t *testing.T) {
@@ -163,9 +212,7 @@ func TestStoreFailedJobRecovered(t *testing.T) {
 	if err := js.Accepted("j000001", "key-1", body); err != nil {
 		t.Fatal(err)
 	}
-	if err := js.Failed("j000001", "deadline exceeded while queued"); err != nil {
-		t.Fatal(err)
-	}
+	js.Finish("j000001", nil, "deadline exceeded while queued")()
 	js.Close()
 
 	js2 := openServeStore(t, dir)

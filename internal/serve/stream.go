@@ -69,11 +69,11 @@ func (rs *recordStream) next(i int) (line []byte, ok, closed bool, wake <-chan s
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job id"})
+		WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job id"})
 		return
 	}
 	if j.req.Type != JobPipeline {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "not a pipeline job"})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "not a pipeline job"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -84,10 +84,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// A terminal job materialized from the store or answered from the
 		// job cache never had a live stream; synthesize one from its
 		// durable output.
-		j.mu.Lock()
-		pipe := j.res.Pipeline
-		j.mu.Unlock()
-		if pipe != nil {
+		if pipe := j.life.Results().Pipeline; pipe != nil {
 			for i := range pipe.Output {
 				if !writeNDJSONRecord(w, &pipe.Output[i]) {
 					return

@@ -11,9 +11,7 @@ func TestDecisionSurvivesReplayAndCompaction(t *testing.T) {
 	if err := s.Accepted("j1", "c1", []byte(`{"type":"search"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Decision("j1", "shortcircuit", []byte(`{"pos":7}`)); err != nil {
-		t.Fatal(err)
-	}
+	s.Decision("j1", "shortcircuit", []byte(`{"pos":7}`))
 	if got := s.Decisions("j1"); string(got["shortcircuit"]) != `{"pos":7}` {
 		t.Fatalf("live decisions = %v", got)
 	}
@@ -56,14 +54,14 @@ func TestDecisionClearedOnTerminal(t *testing.T) {
 		}
 	}
 	must(s.Accepted("j1", "", []byte(`{}`)))
-	must(s.Decision("j1", "shortcircuit", []byte(`1`)))
-	must(s.Done("j1", []byte(`{"ok":true}`)))
+	s.Decision("j1", "shortcircuit", []byte(`1`))
+	s.Finish("j1", []byte(`{"ok":true}`), "")()
 	if got := s.Decisions("j1"); got != nil {
 		t.Fatalf("decisions after done = %v", got)
 	}
 	// A decision for an unknown or terminal job is ignored on replay too.
-	must(s.Decision("j1", "late", []byte(`2`)))
-	must(s.Decision("ghost", "x", []byte(`3`)))
+	s.Decision("j1", "late", []byte(`2`))
+	s.Decision("ghost", "x", []byte(`3`))
 	must(s.Close())
 	r := openTestStore(t, dir, Options{})
 	if got := r.Decisions("j1"); got != nil {
@@ -87,11 +85,11 @@ func TestCheckpointKeyStringAndRollingOverwrite(t *testing.T) {
 		}
 	}
 	must(s.Accepted("g1", "", []byte(`{"type":"grid"}`)))
-	must(s.CheckpointKey("g1", "sweep", []byte(`{"sweep":10}`)))
-	must(s.CheckpointKey("g1", "sweep", []byte(`{"sweep":20}`)))
-	must(s.CheckpointKey("g1", "p:0.1", []byte(`[3,4]`)))
+	s.CheckpointKey("g1", "sweep", []byte(`{"sweep":10}`))
+	s.CheckpointKey("g1", "sweep", []byte(`{"sweep":20}`))
+	s.CheckpointKey("g1", "p:0.1", []byte(`[3,4]`))
 	// Integer-keyed API still round-trips through the same map.
-	must(s.Checkpoint("g1", 7, []byte(`42`)))
+	s.Checkpoint("g1", 7, []byte(`42`))
 
 	check := func(s *JobStore, phase string) {
 		t.Helper()
@@ -123,9 +121,7 @@ func TestDecisionMetricsCount(t *testing.T) {
 	if err := s.Accepted("j1", "", json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Decision("j1", "shortcircuit", []byte(`1`)); err != nil {
-		t.Fatal(err)
-	}
+	s.Decision("j1", "shortcircuit", []byte(`1`))
 	if got := s.Metrics().DecisionWrites; got != 1 {
 		t.Fatalf("decision_writes = %d", got)
 	}

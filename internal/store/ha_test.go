@@ -77,9 +77,7 @@ func TestTailObservesWithoutTruncating(t *testing.T) {
 	if err := s.Accepted("j2", "", []byte(`{"op":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Done("j1", []byte(`"r1"`)); err != nil {
-		t.Fatal(err)
-	}
+	s.Finish("j1", []byte(`"r1"`), "")()
 
 	// Tail while the writer still owns the log.
 	info, err := Tail(dir)

@@ -16,6 +16,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -114,10 +115,19 @@ type JobStore struct {
 	decisions map[string]map[string]json.RawMessage
 	tracer    trace.Tracer
 
+	// held keeps ckpt and decision records that reached the log before
+	// their job's accepted record (motifd journals accepted after the
+	// enqueue); accepted applies them.
+	held map[string][]record
+
+	closed         bool
 	compacting     bool
+	compactWG      sync.WaitGroup
 	ckptWrites     atomic.Int64
 	decisionWrites atomic.Int64
+	heldRecords    atomic.Int64
 	hits           atomic.Int64
+	errs           atomic.Int64
 }
 
 // Open opens (creating if needed) the store in dir and replays its log.
@@ -129,6 +139,7 @@ func Open(dir string, opts Options) (*JobStore, error) {
 		jobs:      make(map[string]*JobState),
 		ckpts:     make(map[string]map[string]json.RawMessage),
 		decisions: make(map[string]map[string]json.RawMessage),
+		held:      make(map[string][]record),
 	}
 	w, err := openWAL(dir, opts.SegmentBytes, opts.NoSync, func(payload []byte) error {
 		var rec record
@@ -142,6 +153,14 @@ func Open(dir string, opts Options) (*JobStore, error) {
 		return nil, err
 	}
 	s.w = w
+	// Records still held belong to a job its dead process never
+	// acknowledged. Fail it durably, so its id is never handed out again:
+	// a reused id would inherit the records on a later replay.
+	for _, id := range sortedKeys(s.held) {
+		if err := s.journal(record{Kind: recFailed, Job: id, Err: "never acknowledged"}); err != nil {
+			return nil, errors.Join(err, s.Close())
+		}
+	}
 	return s, nil
 }
 
@@ -170,55 +189,56 @@ func (s *JobStore) applyLocked(rec record) {
 		js := s.entryLocked(rec.Job)
 		js.Client = rec.Client
 		js.Request = rec.Data
+		held := s.held[rec.Job]
+		delete(s.held, rec.Job)
 		// motifd journals accepted after the enqueue, so a fast job's
 		// terminal record can land first: a status never moves back.
 		if !js.Status.Terminal() {
 			js.Status = StatusAccepted
+			for _, h := range held {
+				s.applyLocked(h)
+			}
 		}
 	case recPlaced:
 		if js, ok := s.jobs[rec.Job]; ok && !js.Status.Terminal() {
 			js.Worker = rec.Worker
 			js.Status = StatusPlaced
 		}
-	case recCkpt:
+	case recCkpt, recDecision:
+		// A checkpoint is a resumable partial; a decision is a commitment
+		// made while the job was still running (e.g. an early-terminated
+		// search's winning solution). Both only matter for incomplete
+		// jobs: once the job is terminal the result record subsumes them.
 		js, ok := s.jobs[rec.Job]
-		if !ok || js.Status.Terminal() {
+		if !ok {
+			// The accepted record has not landed yet: hold this one for it.
+			s.held[rec.Job] = append(s.held[rec.Job], rec)
+			s.heldRecords.Add(1)
 			return
 		}
-		m := s.ckpts[rec.Job]
-		if m == nil {
-			m = make(map[string]json.RawMessage)
-			s.ckpts[rec.Job] = m
-		}
-		m[rec.Node] = rec.Data
-	case recDecision:
-		// A decision is a commitment made while the job was still running
-		// (e.g. an early-terminated search's winning solution). Like
-		// checkpoints it only matters for incomplete jobs: once the job is
-		// terminal the result record subsumes it.
-		js, ok := s.jobs[rec.Job]
-		if !ok || js.Status.Terminal() {
+		if js.Status.Terminal() {
 			return
 		}
-		m := s.decisions[rec.Job]
+		byJob := s.ckpts
+		if rec.Kind == recDecision {
+			byJob = s.decisions
+		}
+		m := byJob[rec.Job]
 		if m == nil {
 			m = make(map[string]json.RawMessage)
-			s.decisions[rec.Job] = m
+			byJob[rec.Job] = m
 		}
 		m[rec.Node] = rec.Data
-	case recDone:
+	case recDone, recFailed:
 		js := s.entryLocked(rec.Job)
-		js.Status = StatusDone
-		js.Result = rec.Data
+		if rec.Kind == recDone {
+			js.Status, js.Result = StatusDone, rec.Data
+		} else {
+			js.Status, js.Error = StatusFailed, rec.Err
+		}
 		delete(s.ckpts, rec.Job)
 		delete(s.decisions, rec.Job)
-		s.evictLocked()
-	case recFailed:
-		js := s.entryLocked(rec.Job)
-		js.Status = StatusFailed
-		js.Error = rec.Err
-		delete(s.ckpts, rec.Job)
-		delete(s.decisions, rec.Job)
+		delete(s.held, rec.Job)
 		s.evictLocked()
 	}
 }
@@ -252,18 +272,24 @@ func (s *JobStore) evictLocked() {
 	}
 }
 
-// appendRecord journals one record: write + apply under mu (so compaction
-// snapshots are exact cuts), then a group-committed fsync outside it.
-func (s *JobStore) appendRecord(rec record) error {
+// The store's error policy: every failed append or fsync is counted in
+// Metrics().Errors (count), and only an accepted record's error reaches the
+// caller, which refuses the job. Every other record is best-effort to its
+// caller: the job runs on, and a restart re-runs it from what did land.
+
+// commit appends rec and applies it to the in-memory state under mu (so
+// compaction snapshots are exact cuts), returning its sequence number for
+// the group-committed fsync (w.syncTo) that makes it durable.
+func (s *JobStore) commit(rec record) (int64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	s.mu.Lock()
 	n, err := s.w.append(payload)
 	if err != nil {
 		s.mu.Unlock()
-		return err
+		return 0, err
 	}
 	s.applyLocked(rec)
 	tr := s.tracer
@@ -272,47 +298,65 @@ func (s *JobStore) appendRecord(rec record) error {
 		tr.Event(trace.Event{Cycle: s.sinceMicros(), Kind: trace.KindJournal,
 			Proc: 0, From: -1, Arg: int64(len(payload)), Label: rec.Kind})
 	}
-	if err := s.w.syncTo(n); err != nil {
-		return err
-	}
 	s.maybeCompact()
-	return nil
+	return n, nil
+}
+
+// journal commits rec and waits until it is durable.
+func (s *JobStore) journal(rec record) error {
+	n, err := s.commit(rec)
+	if err == nil {
+		err = s.w.syncTo(n)
+	}
+	return err
+}
+
+// note journals a record whose caller cannot act on a failure.
+func (s *JobStore) note(rec record) { s.count(s.journal(rec)) }
+
+// count is the store's one error sink: Metrics().Errors.
+func (s *JobStore) count(err error) {
+	if err != nil {
+		s.errs.Add(1)
+	}
 }
 
 // Accepted journals a newly admitted job: its durable ID, the client's
 // idempotency key (may be empty), and the encoded request. The job is
-// durable when Accepted returns, so callers acknowledge the client after.
+// durable when Accepted returns nil, so callers acknowledge the client
+// after; on an error they refuse the job instead.
 func (s *JobStore) Accepted(id, client string, req []byte) error {
 	if s == nil {
 		return nil
 	}
-	return s.appendRecord(record{Kind: recAccepted, Job: id, Client: client, Data: req})
+	err := s.journal(record{Kind: recAccepted, Job: id, Client: client, Data: req})
+	s.count(err)
+	return err
 }
 
 // Placed journals a placement onto a worker.
-func (s *JobStore) Placed(id, worker string) error {
-	if s == nil {
-		return nil
+func (s *JobStore) Placed(id, worker string) {
+	if s != nil {
+		s.note(record{Kind: recPlaced, Job: id, Worker: worker})
 	}
-	return s.appendRecord(record{Kind: recPlaced, Job: id, Worker: worker})
 }
 
 // Checkpoint journals one materialized subtree value for the job, keyed by
 // the reduction's stable node index.
-func (s *JobStore) Checkpoint(id string, node int, val []byte) error {
-	return s.CheckpointKey(id, strconv.Itoa(node), val)
+func (s *JobStore) Checkpoint(id string, node int, val []byte) {
+	s.CheckpointKey(id, strconv.Itoa(node), val)
 }
 
 // CheckpointKey journals one materialized partial value for the job under
 // an arbitrary stable key — a division path for divide-and-conquer, a
 // rolling "sweep" slot for grid relaxation. Re-journaling a key supersedes
 // the previous value (and compaction drops the superseded record).
-func (s *JobStore) CheckpointKey(id, key string, val []byte) error {
+func (s *JobStore) CheckpointKey(id, key string, val []byte) {
 	if s == nil {
-		return nil
+		return
 	}
 	s.ckptWrites.Add(1)
-	return s.appendRecord(record{Kind: recCkpt, Job: id, Node: key, Data: val})
+	s.note(record{Kind: recCkpt, Job: id, Node: key, Data: val})
 }
 
 // Decision journals an irreversible mid-flight commitment for an incomplete
@@ -321,28 +365,34 @@ func (s *JobStore) CheckpointKey(id, key string, val []byte) error {
 // decision binds what the final result must be: replay, cluster retry, and
 // standby takeover complete the job from the journaled decision instead of
 // re-running it. The record is durable when Decision returns.
-func (s *JobStore) Decision(id, reason string, data []byte) error {
+func (s *JobStore) Decision(id, reason string, data []byte) {
 	if s == nil {
-		return nil
+		return
 	}
 	s.decisionWrites.Add(1)
-	return s.appendRecord(record{Kind: recDecision, Job: id, Node: reason, Data: data})
+	s.note(record{Kind: recDecision, Job: id, Node: reason, Data: data})
 }
 
-// Done journals successful completion with the encoded result.
-func (s *JobStore) Done(id string, result []byte) error {
+// Finish appends the job's terminal record — done with result when failure
+// is empty, failed with failure otherwise — and applies it, so Jobs,
+// Incomplete and Decisions show the job terminal as Finish returns. The
+// record is durable once the returned wait returns: a job's lifecycle
+// publishes its outcome between the two, which keeps the fsync off the path
+// to a visible terminal state.
+func (s *JobStore) Finish(id string, result []byte, failure string) (durable func()) {
 	if s == nil {
-		return nil
+		return func() {}
 	}
-	return s.appendRecord(record{Kind: recDone, Job: id, Data: result})
-}
-
-// Failed journals terminal failure.
-func (s *JobStore) Failed(id, msg string) error {
-	if s == nil {
-		return nil
+	rec := record{Kind: recDone, Job: id, Data: result}
+	if failure != "" {
+		rec = record{Kind: recFailed, Job: id, Err: failure}
 	}
-	return s.appendRecord(record{Kind: recFailed, Job: id, Err: msg})
+	n, err := s.commit(rec)
+	if err != nil {
+		s.count(err)
+		return func() {}
+	}
+	return func() { s.count(s.w.syncTo(n)) }
 }
 
 // NoteCheckpointHits counts node evaluations a resumed reduction skipped
@@ -407,32 +457,24 @@ func (s *JobStore) Checkpoints(id string) map[int]json.RawMessage {
 
 // CheckpointsKey returns the job's journaled partial values by string key.
 func (s *JobStore) CheckpointsKey(id string) map[string]json.RawMessage {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.ckpts[id]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]json.RawMessage, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return s.copyOf(func() map[string]json.RawMessage { return s.ckpts[id] })
 }
 
 // Decisions returns the job's journaled mid-flight commitments by reason;
 // nil once the job is terminal (the result subsumes them) or when none were
 // journaled.
 func (s *JobStore) Decisions(id string) map[string]json.RawMessage {
+	return s.copyOf(func() map[string]json.RawMessage { return s.decisions[id] })
+}
+
+// copyOf copies the map pick returns under mu; nil when it is empty.
+func (s *JobStore) copyOf(pick func() map[string]json.RawMessage) map[string]json.RawMessage {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.decisions[id]
+	m := pick()
 	if len(m) == 0 {
 		return nil
 	}
@@ -458,25 +500,11 @@ func (s *JobStore) liveRecordsLocked() [][]byte {
 		if js.Worker != "" {
 			add(record{Kind: recPlaced, Job: id, Worker: js.Worker})
 		}
-		if m := s.ckpts[id]; len(m) > 0 {
-			keys := make([]string, 0, len(m))
-			for k := range m {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				add(record{Kind: recCkpt, Job: id, Node: k, Data: m[k]})
-			}
+		for _, k := range sortedKeys(s.ckpts[id]) {
+			add(record{Kind: recCkpt, Job: id, Node: k, Data: s.ckpts[id][k]})
 		}
-		if m := s.decisions[id]; len(m) > 0 {
-			reasons := make([]string, 0, len(m))
-			for r := range m {
-				reasons = append(reasons, r)
-			}
-			sort.Strings(reasons)
-			for _, r := range reasons {
-				add(record{Kind: recDecision, Job: id, Node: r, Data: m[r]})
-			}
+		for _, r := range sortedKeys(s.decisions[id]) {
+			add(record{Kind: recDecision, Job: id, Node: r, Data: s.decisions[id][r]})
 		}
 		switch js.Status {
 		case StatusDone:
@@ -485,7 +513,23 @@ func (s *JobStore) liveRecordsLocked() [][]byte {
 			add(record{Kind: recFailed, Job: id, Err: js.Error})
 		}
 	}
+	// Records still waiting for their accepted record are held again on
+	// replay, where Open fails any job whose accepted never lands.
+	for _, id := range sortedKeys(s.held) {
+		for _, rec := range s.held[id] {
+			add(rec)
+		}
+	}
 	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Compact rewrites the log down to its live records, dropping every
@@ -520,14 +564,15 @@ func (s *JobStore) maybeCompact() {
 		return
 	}
 	s.mu.Lock()
-	if s.compacting {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.compacting || s.closed {
 		return
 	}
 	s.compacting = true
-	s.mu.Unlock()
+	s.compactWG.Add(1)
 	go func() {
-		_ = s.Compact()
+		defer s.compactWG.Done()
+		s.count(s.Compact())
 		s.mu.Lock()
 		s.compacting = false
 		s.mu.Unlock()
@@ -552,6 +597,12 @@ type MetricsSnapshot struct {
 	CheckpointWrites int64   `json:"checkpoint_writes"`
 	CheckpointHits   int64   `json:"checkpoint_hits"`
 	DecisionWrites   int64   `json:"decision_writes,omitempty"`
+	// HeldRecords counts ckpt and decision records that arrived before
+	// their job's accepted record and were held for it.
+	HeldRecords int64 `json:"held_records,omitempty"`
+	// Errors counts appends and fsyncs that failed, and failed background
+	// compactions.
+	Errors int64 `json:"errors"`
 }
 
 // Metrics returns the store's observable state; nil on a nil store, which
@@ -587,13 +638,20 @@ func (s *JobStore) Metrics() *MetricsSnapshot {
 		CheckpointWrites: s.ckptWrites.Load(),
 		CheckpointHits:   s.hits.Load(),
 		DecisionWrites:   s.decisionWrites.Load(),
+		HeldRecords:      s.heldRecords.Load(),
+		Errors:           s.errs.Load(),
 	}
 }
 
-// Close syncs and closes the log. Further appends fail.
+// Close waits for a running background compaction, then syncs and closes
+// the log. Further appends fail.
 func (s *JobStore) Close() error {
 	if s == nil {
 		return nil
 	}
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.compactWG.Wait()
 	return s.w.close()
 }

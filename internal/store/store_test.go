@@ -15,6 +15,13 @@ func openTestStore(t *testing.T, dir string, opts Options) *JobStore {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	// Appends other than accepted report failures only through the
+	// errors counter, so every test store must end with none.
+	t.Cleanup(func() {
+		if n := s.Metrics().Errors; n != 0 {
+			t.Errorf("store counted %d append/fsync errors", n)
+		}
+	})
 	return s
 }
 
@@ -24,27 +31,17 @@ func TestJobStoreLifecycleReplay(t *testing.T) {
 	if err := s.Accepted("j1", "client-a", []byte(`{"type":"tree"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Placed("j1", "w1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Done("j1", []byte(`{"value":42}`)); err != nil {
-		t.Fatal(err)
-	}
+	s.Placed("j1", "w1")
+	s.Finish("j1", []byte(`{"value":42}`), "")()
 	if err := s.Accepted("j2", "client-b", []byte(`{"type":"tree","n":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint("j2", 0, []byte(`7`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint("j2", 3, []byte(`9`)); err != nil {
-		t.Fatal(err)
-	}
+	s.Checkpoint("j2", 0, []byte(`7`))
+	s.Checkpoint("j2", 3, []byte(`9`))
 	if err := s.Accepted("j3", "", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Failed("j3", "boom"); err != nil {
-		t.Fatal(err)
-	}
+	s.Finish("j3", nil, "boom")()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +94,10 @@ func TestJobStoreCompactionPreservesState(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		id := fmt.Sprintf("j%03d", i)
 		mustNil(t, s.Accepted(id, "", []byte(`{"i":`+fmt.Sprint(i)+`}`)))
-		mustNil(t, s.Done(id, []byte(`"ok"`)))
+		s.Finish(id, []byte(`"ok"`), "")()
 	}
 	mustNil(t, s.Accepted("live", "key", []byte(`{"keep":true}`)))
-	mustNil(t, s.Checkpoint("live", 5, []byte(`11`)))
+	s.Checkpoint("live", 5, []byte(`11`))
 	segsBefore := s.w.segments()
 	recordsBefore := s.Metrics().WALRecords
 	if err := s.Compact(); err != nil {
@@ -149,10 +146,7 @@ func TestJobStoreConcurrentCheckpointWhileCompact(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("j%d", g)
 			for i := 0; i < nodes; i++ {
-				if err := s.Checkpoint(id, i, []byte(fmt.Sprint(i))); err != nil {
-					t.Error(err)
-					return
-				}
+				s.Checkpoint(id, i, []byte(fmt.Sprint(i)))
 			}
 		}()
 	}
@@ -192,7 +186,7 @@ func TestJobStoreAutoCompact(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		id := fmt.Sprintf("j%02d", i)
 		mustNil(t, s.Accepted(id, "", []byte(`{"pad":"xxxxxxxxxxxxxxxx"}`)))
-		mustNil(t, s.Done(id, []byte(`"ok"`)))
+		s.Finish(id, []byte(`"ok"`), "")()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Metrics().Compactions == 0 {
@@ -207,10 +201,10 @@ func TestJobStoreAutoCompact(t *testing.T) {
 func TestNilJobStoreIsValid(t *testing.T) {
 	var s *JobStore
 	mustNil(t, s.Accepted("x", "", nil))
-	mustNil(t, s.Placed("x", "w"))
-	mustNil(t, s.Checkpoint("x", 0, nil))
-	mustNil(t, s.Done("x", nil))
-	mustNil(t, s.Failed("x", "nope"))
+	s.Placed("x", "w")
+	s.Checkpoint("x", 0, nil)
+	s.Finish("x", nil, "")()
+	s.Finish("x", nil, "nope")()
 	mustNil(t, s.Compact())
 	mustNil(t, s.Close())
 	s.NoteCheckpointHits(3)
@@ -233,7 +227,7 @@ func mustNil(t *testing.T, err error) {
 func TestTerminalRecordBeforeAccepted(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, Options{CompactAfter: -1})
-	mustNil(t, s.Done("j1", []byte(`{"value":42}`)))
+	s.Finish("j1", []byte(`{"value":42}`), "")()
 	mustNil(t, s.Accepted("j1", "client-a", []byte(`{"type":"tree"}`)))
 	check := func(s *JobStore) {
 		t.Helper()
@@ -255,4 +249,83 @@ func TestTerminalRecordBeforeAccepted(t *testing.T) {
 	r := openTestStore(t, dir, Options{})
 	defer r.Close()
 	check(r)
+}
+
+// TestEarlyRecordsHeldForAccepted covers the other side of motifd's
+// journal order: a fast job's checkpoint or decision can land before its
+// accepted record. The store holds such records, counts them, keeps them
+// through a compaction, and applies them when accepted arrives, live and
+// on replay. A reopen fails a job whose accepted record never arrived.
+func TestEarlyRecordsHeldForAccepted(t *testing.T) {
+	check := func(s *JobStore, phase string) {
+		t.Helper()
+		if got := s.Decisions("j1"); string(got["shortcircuit"]) != `7` {
+			t.Fatalf("%s: decisions = %v", phase, got)
+		}
+		if got := s.Checkpoints("j1"); string(got[3]) != `9` {
+			t.Fatalf("%s: checkpoints = %v", phase, got)
+		}
+		if inc := s.Incomplete(); len(inc) != 1 || inc[0].ID != "j1" {
+			t.Fatalf("%s: incomplete = %+v", phase, inc)
+		}
+	}
+	dir := t.TempDir()
+	s := openTestStore(t, dir, Options{CompactAfter: -1})
+	s.Decision("j1", "shortcircuit", []byte(`7`))
+	s.Checkpoint("j1", 3, []byte(`9`))
+	if s.Decisions("j1") != nil || len(s.Jobs()) != 0 {
+		t.Fatal("records applied before their job was accepted")
+	}
+	if got := s.Metrics().HeldRecords; got != 2 {
+		t.Fatalf("held_records = %d, want 2", got)
+	}
+	mustNil(t, s.Compact())
+	mustNil(t, s.Accepted("j1", "", []byte(`{}`)))
+	check(s, "live")
+	mustNil(t, s.Close())
+	r := openTestStore(t, dir, Options{CompactAfter: -1})
+	check(r, "replay")
+	mustNil(t, r.Close())
+
+	// Never accepted: the process died between the early records and the
+	// accepted record, so no client was acknowledged. The reopen fails the
+	// job rather than holding its records for whatever job next gets the
+	// id, and that holds across a further restart.
+	dir = t.TempDir()
+	s = openTestStore(t, dir, Options{CompactAfter: -1})
+	s.Decision("j1", "shortcircuit", []byte(`7`))
+	s.Checkpoint("j1", 3, []byte(`9`))
+	mustNil(t, s.Compact())
+	mustNil(t, s.Close())
+	for life := 0; life < 2; life++ {
+		r = openTestStore(t, dir, Options{CompactAfter: -1})
+		if d, c := r.Decisions("j1"), r.Checkpoints("j1"); d != nil || c != nil {
+			t.Fatalf("life %d: dead job's records survived: decisions %v, checkpoints %v", life, d, c)
+		}
+		if js := r.Jobs(); len(js) != 1 || js[0].ID != "j1" || js[0].Status != StatusFailed {
+			t.Fatalf("life %d: jobs = %+v, want j1 failed", life, js)
+		}
+		if inc := r.Incomplete(); len(inc) != 0 {
+			t.Fatalf("life %d: incomplete = %+v", life, inc)
+		}
+		mustNil(t, r.Close())
+	}
+}
+
+// TestStoreCountsErrors: records other than accepted report a failed append
+// only through the errors counter; accepted also returns it.
+func TestStoreCountsErrors(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustNil(t, s.Close())
+	if s.Accepted("j1", "", nil) == nil {
+		t.Fatal("accepted on a closed store returned nil")
+	}
+	s.Decision("j1", "shortcircuit", nil)
+	s.Finish("j1", nil, "boom")()
+	if got := s.Metrics().Errors; got != 3 {
+		t.Fatalf("errors = %d, want 3", got)
+	}
 }
