@@ -1,11 +1,12 @@
 # Local mirror of .github/workflows/ci.yml: `make ci` runs the exact CI
-# steps (format gate, build, vet, tests, race tests, bench smoke).
+# steps (format gate, build, vet, tests with the process tests, race tests,
+# bench smoke, kernel gate).
 
 GO ?= go
 
-.PHONY: ci fmt-check build vet staticcheck test perfbench-check race fuzz-smoke bench-smoke bench motifd-smoke cluster-smoke recovery-smoke pipeline-smoke qos-smoke ha-smoke motif-jobs-smoke bench-cluster bench-memo bench-kernel bench-gate bench-slo
+.PHONY: ci fmt-check build vet staticcheck test perfbench-check race fuzz-smoke bench-smoke bench-kernel bench-gate bench-slo
 
-ci: fmt-check build vet staticcheck test perfbench-check race fuzz-smoke bench-smoke motifd-smoke cluster-smoke recovery-smoke pipeline-smoke qos-smoke ha-smoke motif-jobs-smoke bench-gate
+ci: fmt-check build vet staticcheck test perfbench-check race fuzz-smoke bench-smoke bench-gate
 	@echo "ci: all steps passed"
 
 fmt-check:
@@ -32,7 +33,9 @@ staticcheck:
 		echo "staticcheck: not installed, skipping (CI runs it)"; \
 	fi
 
-# -count=1 bypasses the test cache, so a cached pass cannot hide red.
+# -count=1 bypasses the test cache, so a cached pass cannot hide red. The
+# process tests in internal/e2e (real motifd/motifctl processes, SIGKILLed
+# at observed states) run here; -short skips them.
 test:
 	$(GO) test -count=1 ./...
 
@@ -55,68 +58,6 @@ fuzz-smoke:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# bench load-tests the serving layer at 1/4/16 concurrent clients against an
-# in-process motifd — one align, one search, and one grid row per level —
-# and writes the throughput/latency report.
-bench:
-	$(GO) run ./cmd/alignbench -serve self -clients 1,4,16 -jobs 48 -search -grid -out BENCH_serve.json
-
-# motifd-smoke mirrors the CI smoke step: start the daemon, submit a job,
-# assert it completes, drain.
-motifd-smoke:
-	./scripts/motifd_smoke.sh
-
-# cluster-smoke mirrors the CI cluster step: coordinator + 2 workers,
-# submit a batch, SIGKILL one worker mid-run, assert zero lost jobs.
-cluster-smoke:
-	./scripts/cluster_smoke.sh
-
-# recovery-smoke mirrors the CI durability step: SIGKILL the coordinator
-# mid-batch and a motifd mid-reduction, restart both against their WAL
-# directories, assert zero lost / duplicated jobs and a checkpointed resume.
-recovery-smoke:
-	./scripts/recovery_smoke.sh
-
-# pipeline-smoke mirrors the CI streaming-pipeline step: SIGKILL motifd
-# mid-NDJSON-stream, restart on the same WAL, assert the job resumes from
-# the deepest completed stage and replays a byte-identical stream.
-pipeline-smoke:
-	./scripts/pipeline_smoke.sh
-
-# qos-smoke mirrors the CI multi-tenant QoS step: motifd -qos threads the
-# X-Motif-Tenant/X-Motif-Class identity through to the job view and the
-# /metrics qos block, then slobench -smoke saturates a qos-enabled server
-# and asserts tenant isolation (gold p99 within SLO, hostile tenant shed).
-qos-smoke:
-	./scripts/qos_smoke.sh
-
-# ha-smoke mirrors the CI coordinator-failover step: active + standby
-# motifctl on one WAL, SIGKILL the active mid-batch, assert the standby
-# takes over the lease, workers re-register, and no job is lost or
-# duplicated.
-ha-smoke:
-	./scripts/ha_smoke.sh
-
-# motif-jobs-smoke mirrors the CI motif-jobs step: search/grid/sort job
-# types against motifd with -store, SIGKILL mid-search inside the settle
-# window, restart and assert the journaled shortcircuit decision is honored;
-# then a 2-worker cluster where killing the worker holding a terminated
-# search makes the retry a no-op (completed from the harvested decision).
-motif-jobs-smoke:
-	./scripts/motif_jobs_smoke.sh
-
-# bench-cluster measures cluster scheduling at 1/2/4 workers and writes
-# the per-scale throughput/latency report.
-bench-cluster:
-	./scripts/bench_cluster.sh BENCH_cluster.json
-
-# bench-memo measures the content-addressed cache end to end: each client
-# level runs cold (computing every alignment) then warm (answered from the
-# daemon's cache over the same job seeds), reporting the warm-over-cold
-# speedup and warm-pass hit-rate.
-bench-memo:
-	$(GO) run ./cmd/alignbench -serve self -memo 67108864 -clients 1,4,16 -jobs 48 -out BENCH_memo.json
 
 # bench-kernel re-measures the Gotoh kernel optimization phases (reference,
 # rolling rows, pooled, banded — see internal/bio/OPTIMIZATION_PLAN.md) and

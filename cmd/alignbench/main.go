@@ -1,43 +1,26 @@
 // Command alignbench drives the multiple-sequence-alignment experiments
-// (E11): native wall-clock speedup and simulated motif comparison.
+// (E11, E15): native wall-clock speedup, simulated motif comparison and
+// alignment quality.
 //
 // Usage:
 //
-//	alignbench [-n seqs] [-len seqLen] [-seed N] [-mode native|sim|both]
+//	alignbench [-n seqs] [-len seqLen] [-seed N] [-mode native|sim|quality|both]
 //	alignbench -trace out.json [-n seqs] [-len seqLen] [-seed N]
-//	alignbench -serve URL|self [-clients 1,4,16] [-jobs 48] [-search] [-grid] [-out BENCH_serve.json]
-//	alignbench -serve self -memo BYTES [-clients 1,4,16] [-jobs 48] [-out BENCH_memo.json]
-//	alignbench -cluster URL [-clients 1,4,16] [-jobs 48] [-out BENCH_cluster.json]
-//	alignbench -pipeline URL|self [-n seqs] [-len seqLen] [-group N] [-stage-delay-us N]
+//	alignbench -fasta in.fa
+//	alignbench -pipeline URL|self [-n seqs] [-len seqLen] [-band N] [-group N] [-stage-delay-us N] [-memo BYTES]
 //
 // With -trace, alignbench runs one simulated Tree-Reduce-2 family
 // alignment with structured tracing on and writes the event stream as a
 // Chrome trace_event file (open in chrome://tracing or Perfetto).
 //
-// With -serve, alignbench is a load generator for motifd: it drives the
-// daemon at the given URL ("self" hosts an in-process server) with
-// alignment jobs at each client-concurrency level and reports throughput
-// and client-perceived p50/p95 latency, optionally as JSON via -out. A 429
-// response is honored: the generator backs off for at least the daemon's
-// Retry-After, jittered, rather than hammering a shedding queue. -search
-// and -grid add a row per level driving those job types through the same
-// submit/poll path.
-//
-// With -cluster, the same load generator drives a motifctl coordinator —
-// the job API is identical, so this measures cluster scheduling (placement,
-// shipping, retry) end to end.
-//
 // With -pipeline, alignbench submits one streaming pipeline job (filter →
-// align → reduce → report) and follows its NDJSON stream, reporting
-// time-to-first-record against total elapsed — the streaming pipeline's
-// defining advantage over a batch job.
+// align → reduce → report) to motifd ("self" hosts one in-process, with a
+// -memo cache of that many bytes) and follows its NDJSON stream,
+// reporting time-to-first-record against total elapsed — the streaming
+// pipeline's defining advantage over a batch job.
 //
-// With -memo, each concurrency level runs twice over the same job seeds: a
-// cold pass that computes every alignment and a warm pass answered from the
-// daemon's content-addressed cache. The report carries both passes plus the
-// warm-over-cold speedup and the daemon's cache hit-rate. For -serve self
-// the value is also the in-process daemon's cache budget; a remote target
-// must itself run with -memo for the warm pass to hit.
+// Load generation against motifd and motifctl lives in perfbench (its own
+// module, see perfbench/README.md).
 package main
 
 import (
@@ -63,55 +46,15 @@ func main() {
 	mode := flag.String("mode", "both", "native (wall-clock skeleton), sim (motif simulator), quality, or both")
 	fasta := flag.String("fasta", "", "align the sequences in this FASTA file and print the alignment (overrides -mode)")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON of one simulated alignment run to this file (overrides -mode)")
-	serveURL := flag.String("serve", "", "load-generate against the motifd at this URL (\"self\" hosts one in-process); overrides -mode")
-	clusterURL := flag.String("cluster", "", "load-generate against the motifctl coordinator at this URL; overrides -mode")
 	pipelineURL := flag.String("pipeline", "", "run one streaming pipeline job against the motifd at this URL (\"self\" hosts one in-process); overrides -mode")
 	group := flag.Int("group", 8, "reduce-stage window for -pipeline jobs")
 	stageDelay := flag.Int64("stage-delay-us", 0, "per-record report-stage delay for -pipeline (µs; makes streaming visible)")
-	clients := flag.String("clients", "1,4,16", "client-concurrency levels for -serve, comma-separated")
-	jobs := flag.Int("jobs", 48, "alignment jobs per concurrency level for -serve")
-	out := flag.String("out", "", "write the -serve load report as JSON to this file")
-	band := flag.Int("band", 0, "band half-width for -serve/-cluster jobs (0 = exact alignment)")
-	searchLoad := flag.Bool("search", false, "add a search-job row per -serve/-cluster client level (or-parallel pattern scan)")
-	gridLoad := flag.Bool("grid", false, "add a grid-job row per -serve/-cluster client level (stencil relaxation)")
+	band := flag.Int("band", 0, "band half-width for -pipeline align and reduce stages (0 = exact alignment)")
 	memoBytes := cmdutil.MemoBytes(0)
 	flag.Parse()
-	loadBand = *band
-	loadSearch, loadGrid = *searchLoad, *gridLoad
 
 	if *pipelineURL != "" {
 		if err := runPipeline(*pipelineURL, *n, *seqLen, *seed, *band, *group, *stageDelay, *memoBytes); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *serveURL != "" || *clusterURL != "" {
-		benchmark, target := "serve", *serveURL
-		if *clusterURL != "" {
-			if *serveURL != "" {
-				fatal(fmt.Errorf("-serve and -cluster are mutually exclusive"))
-			}
-			benchmark, target = "cluster", *clusterURL
-			if target == "self" {
-				fatal(fmt.Errorf("-cluster needs a running motifctl URL (a coordinator without workers is inert)"))
-			}
-		}
-		levels, err := cmdutil.IntList(*clients)
-		if err != nil {
-			fatal(fmt.Errorf("-clients: %w", err))
-		}
-		// The load jobs are small on purpose: the interesting quantity is
-		// serving behavior (queueing, batching, shedding), not one job's
-		// alignment runtime.
-		ln, ll := *n, *seqLen
-		if ln > 8 {
-			ln = 8
-		}
-		if ll > 48 {
-			ll = 48
-		}
-		if err := runLoad(benchmark, target, levels, *jobs, ln, ll, *seed, *out, *memoBytes); err != nil {
 			fatal(err)
 		}
 		return

@@ -2,7 +2,7 @@ package main
 
 import (
 	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -33,7 +33,7 @@ func runPipeline(target string, n, seqLen int, seed int64, band, group int, dela
 		go func() { _ = httpSrv.Serve(ln) }()
 		defer func() {
 			httpSrv.Close()
-			sctx, cancel := shutdownCtx()
+			sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			_ = s.Shutdown(sctx)
 		}()
@@ -54,36 +54,25 @@ func runPipeline(target string, n, seqLen int, seed int64, band, group int, dela
 		return err
 	}
 
-	client := &http.Client{Timeout: 5 * time.Minute}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	client := serve.NewClient[serve.JobStatus](base, nil)
 	start := time.Now()
-	resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	st, err := client.Submit(ctx, body)
 	if err != nil {
-		return err
+		return fmt.Errorf("submit: %w", err)
 	}
-	var st serve.JobStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
+	stream, err := client.Stream(ctx, st.ID)
 	if err != nil {
-		return err
+		return fmt.Errorf("stream: %w", err)
 	}
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("submit: status %d: %s", resp.StatusCode, st.Error)
-	}
-
-	stream, err := client.Get(base + "/v1/jobs/" + st.ID + "/stream")
-	if err != nil {
-		return err
-	}
-	defer stream.Body.Close()
-	if stream.StatusCode != http.StatusOK {
-		return fmt.Errorf("stream: status %d", stream.StatusCode)
-	}
+	defer stream.Close()
 	var (
 		firstAt time.Duration
 		lines   int
 		summary pipeline.Record
 	)
-	sc := bufio.NewScanner(stream.Body)
+	sc := bufio.NewScanner(stream)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	for sc.Scan() {
 		if lines == 0 {
@@ -107,13 +96,7 @@ func runPipeline(target string, n, seqLen int, seed int64, band, group int, dela
 	}
 
 	// The stream has ended, so the job is terminal; fetch its stage table.
-	resp, err = client.Get(base + "/v1/jobs/" + st.ID)
-	if err != nil {
-		return err
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
+	if st, err = client.Status(ctx, st.ID); err != nil {
 		return err
 	}
 	if st.State != serve.StateDone {

@@ -84,6 +84,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cmdutil"
+	"repro/internal/serve"
 	"repro/internal/store"
 )
 
@@ -140,12 +141,11 @@ func (s *switchable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func standbyHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"status":"standby"}`)
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "standby"})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, "standby: not serving until takeover", http.StatusServiceUnavailable)
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "standby: not serving until takeover"})
 	})
 	return mux
 }

@@ -50,8 +50,6 @@ type AgentConfig struct {
 	QueueCap    int
 	// Interval is the heartbeat cadence (default DefaultHeartbeatInterval).
 	Interval time.Duration
-	// Client talks to the coordinator (default: 5s-timeout http.Client).
-	Client *http.Client
 	// Seed drives the registration/heartbeat retry jitter; 0 falls back to
 	// the process id. The worker id is mixed in so co-seeded workers still
 	// jitter apart.
@@ -69,6 +67,7 @@ type AgentConfig struct {
 // to the worker's ordinary serving API.
 type Agent struct {
 	cfg  AgentConfig
+	http *http.Client // talks to the coordinator
 	done chan struct{}
 	wg   sync.WaitGroup
 
@@ -102,9 +101,6 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultHeartbeatInterval
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 5 * time.Second}
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -112,7 +108,7 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 	// The fills window feeds heartbeat digest summaries; enabling it on a
 	// nil cache (memoization off) is a no-op.
 	cfg.Server.MemoCache().TrackFills(fillWindow)
-	a := &Agent{cfg: cfg, done: make(chan struct{}), urls: urls}
+	a := &Agent{cfg: cfg, http: &http.Client{Timeout: 5 * time.Second}, done: make(chan struct{}), urls: urls}
 	a.wg.Add(1)
 	go a.loop()
 	return a, nil
@@ -186,7 +182,7 @@ func (a *Agent) register(bo *Backoff) bool {
 	body, _ := json.Marshal(info)
 	for {
 		target := a.CoordinatorURL()
-		resp, err := a.cfg.Client.Post(target+"/cluster/v1/register",
+		resp, err := a.http.Post(target+"/cluster/v1/register",
 			"application/json", bytes.NewReader(body))
 		if err == nil {
 			var reg RegisterResponse
@@ -254,7 +250,7 @@ func (a *Agent) heartbeats() bool {
 			hb.Tenants = td
 		}
 		body, _ := json.Marshal(hb)
-		resp, err := a.cfg.Client.Post(a.CoordinatorURL()+"/cluster/v1/heartbeat",
+		resp, err := a.http.Post(a.CoordinatorURL()+"/cluster/v1/heartbeat",
 			"application/json", bytes.NewReader(body))
 		if err != nil {
 			// Unreachable coordinator: keep beating at the usual cadence —

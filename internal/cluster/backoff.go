@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/serve"
 )
 
 // Backoff yields jittered exponential delays for retry loops: attempt n
@@ -63,16 +60,4 @@ func (b *Backoff) Reset() {
 	b.mu.Lock()
 	b.attempt = 0
 	b.mu.Unlock()
-}
-
-// RetryAfterFloor turns a 429's Retry-After header value into the backoff
-// floor it demands, defaulting to the system-wide serve.RetryAfterSeconds
-// when the header is absent or not an integer (the HTTP-date form is not
-// worth supporting here). Shared by the coordinator's re-placement path
-// and load generators honoring shed responses.
-func RetryAfterFloor(header string) time.Duration {
-	if s, err := strconv.Atoi(header); err == nil && s >= 0 {
-		return time.Duration(s) * time.Second
-	}
-	return serve.RetryAfterSeconds * time.Second
 }

@@ -54,6 +54,30 @@ func shutdownCoordinator(t *testing.T, c *Coordinator) {
 	}
 }
 
+// frontClient is the job API client for a coordinator behind ts.
+func frontClient(ts *httptest.Server) *serve.Client[JobView] {
+	return serve.NewClient[JobView](ts.URL, ts.Client())
+}
+
+// pollTerminal polls a job through the client until it is terminal.
+func pollTerminal(t *testing.T, cl *serve.Client[JobView], id string) JobView {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		v, err := cl.Status(context.Background(), id)
+		if err != nil {
+			t.Fatalf("poll %s: %v", id, err)
+		}
+		if v.State == serve.StateDone || v.State == serve.StateError {
+			return v
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s", id, v.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // waitTerminal waits until the job's outcome is bound.
 func waitTerminal(t *testing.T, j *Job, within time.Duration) JobView {
 	t.Helper()
@@ -104,49 +128,27 @@ func TestClusterEndToEnd(t *testing.T) {
 	defer front.Close()
 
 	const jobs = 16
+	cl := frontClient(front)
 	ids := make([]string, 0, jobs)
 	for i := 0; i < jobs; i++ {
 		body, _ := json.Marshal(treeReq(256))
-		resp, err := http.Post(front.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		v, err := cl.Submit(context.Background(), body)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("submit %d: %v", i, err)
 		}
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
-		}
-		var v JobView
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
 		ids = append(ids, v.ID)
 	}
-
-	deadline := time.Now().Add(15 * time.Second)
 	for _, id := range ids {
-		for {
-			resp, err := http.Get(front.URL + "/v1/jobs/" + id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v JobView
-			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if v.State == serve.StateDone {
-				if v.Tree == nil || v.Tree.Units == 0 {
-					t.Fatalf("job %s done without a tree result: %+v", id, v)
-				}
-				break
-			}
-			if v.State == serve.StateError {
-				t.Fatalf("job %s failed: %s", id, v.Error)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s still %s", id, v.State)
-			}
-			time.Sleep(2 * time.Millisecond)
+		v := pollTerminal(t, cl, id)
+		if v.State != serve.StateDone {
+			t.Fatalf("job %s ended %s: %s", id, v.State, v.Error)
+		}
+		if v.Tree == nil || v.Tree.Units == 0 {
+			t.Fatalf("job %s done without a tree result: %+v", id, v)
+		}
+		// The client decodes motifctl's own view: placement fields survive.
+		if v.WorkerID == "" || v.Attempts < 1 {
+			t.Fatalf("job %s view lost its placement: worker %q, attempts %d", id, v.WorkerID, v.Attempts)
 		}
 	}
 

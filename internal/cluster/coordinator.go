@@ -83,8 +83,6 @@ type Config struct {
 	MemoIndexCap int
 	// TraceCap sizes the trace ring (default trace.DefaultRingCapacity).
 	TraceCap int
-	// Client ships and polls jobs (default: 30s-timeout http.Client).
-	Client *http.Client
 	// Store, when non-nil, journals the job lifecycle to a durable WAL:
 	// accepted jobs survive a coordinator crash and are re-placed on
 	// restart, and client-supplied request IDs dedup across it.
@@ -135,9 +133,6 @@ func (c *Config) fill() error {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	return nil
 }
 
@@ -145,8 +140,11 @@ func (c *Config) fill() error {
 // front end. Create with NewCoordinator, serve via Handler, stop with
 // Shutdown.
 type Coordinator struct {
-	cfg  Config
-	reg  *registry
+	cfg Config
+	reg *registry
+	// http carries every call to a worker: job ships and polls through a
+	// serve.Client, and trace fetches.
+	http *http.Client
 	met  *coordMetrics
 	ring *trace.Ring
 	// memoIdx is the peer memo tier's digest→workers index: advisory
@@ -190,6 +188,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	ctx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:     cfg,
+		http:    &http.Client{Timeout: 30 * time.Second},
 		met:     newCoordMetrics(),
 		ring:    trace.NewRing(cfg.TraceCap),
 		ctx:     ctx,

@@ -1,11 +1,10 @@
 package cluster
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
@@ -178,13 +177,9 @@ func TestCoordinatorUnjournaledSubmitRefused(t *testing.T) {
 	front := httptest.NewServer(c.Handler())
 	defer front.Close()
 	body, _ := json.Marshal(treeReq(8))
-	resp, err := http.Post(front.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit on a closed WAL answered %d, want 503", resp.StatusCode)
+	var ae *serve.APIError
+	if _, err := frontClient(front).Submit(context.Background(), body); !errors.As(err, &ae) || ae.Kind != serve.ErrUnavailable {
+		t.Fatalf("submit on a closed WAL answered %v, want 503", err)
 	}
 	j, ok := c.Job("c000001")
 	if !ok {

@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -73,43 +73,23 @@ func TestClusterPipelineKeepsResult(t *testing.T) {
 	c.reg.register(WorkerInfo{ID: "w2", Addr: wsB.URL, Workers: 2}, time.Now())
 	front := httptest.NewServer(c.Handler())
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(front.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	accepted, err := frontClient(front).Submit(context.Background(), body)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("submit: %v", err)
 	}
-	var accepted JobView
-	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d, err %v", resp.StatusCode, err)
-	}
-	resp.Body.Close()
 
-	// pipelineOf polls the front end until the job is terminal and returns
+	// pipelineOf polls a front end until the job is terminal and returns
 	// its pipeline block.
-	pipelineOf := func(url string) []byte {
+	pipelineOf := func(front *httptest.Server) []byte {
 		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			resp, err := http.Get(url + "/v1/jobs/" + accepted.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v JobView
-			err = json.NewDecoder(resp.Body).Decode(&v)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.State == serve.StateDone {
-				got, _ := json.Marshal(v.Pipeline)
-				return got
-			}
-			if v.State == serve.StateError || time.Now().After(deadline) {
-				t.Fatalf("job %s ended %s (%s)", v.ID, v.State, v.Error)
-			}
-			time.Sleep(5 * time.Millisecond)
+		v := pollTerminal(t, frontClient(front), accepted.ID)
+		if v.State != serve.StateDone {
+			t.Fatalf("job %s ended %s (%s)", v.ID, v.State, v.Error)
 		}
+		got, _ := json.Marshal(v.Pipeline)
+		return got
 	}
-	if got := pipelineOf(front.URL); !bytes.Equal(got, want) {
+	if got := pipelineOf(front); !bytes.Equal(got, want) {
 		t.Fatalf("pipeline block through motifctl:\n got %s\nwant %s", got, want)
 	}
 
@@ -125,7 +105,7 @@ func TestClusterPipelineKeepsResult(t *testing.T) {
 	defer shutdownCoordinator(t, c2)
 	front2 := httptest.NewServer(c2.Handler())
 	defer front2.Close()
-	if got := pipelineOf(front2.URL); !bytes.Equal(got, want) {
+	if got := pipelineOf(front2); !bytes.Equal(got, want) {
 		t.Fatalf("pipeline block after coordinator restart:\n got %s\nwant %s", got, want)
 	}
 }

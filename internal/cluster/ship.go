@@ -1,12 +1,11 @@
 package cluster
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"net/http"
 	"time"
 
 	"repro/internal/jobs"
@@ -160,38 +159,29 @@ func (c *Coordinator) shipAndTrack(j *Job, w WorkerView) shipOutcome {
 	c.emit(trace.Event{Cycle: c.met.sinceMicros(), Kind: trace.KindShip,
 		Proc: w.Index, From: -1, Label: j.id + "→" + w.ID})
 
-	resp, err := c.cfg.Client.Post(w.Addr+"/v1/jobs", "application/json", bytes.NewReader(j.body))
+	// The calls are not bound to c.ctx: one in flight at shutdown runs to
+	// its answer or to the client's timeout, and shutdown is noticed
+	// between polls, so it never reads as a lost worker.
+	wc := serve.NewClient[serve.JobStatus](w.Addr, c.http)
+	remote, err := wc.Submit(context.Background(), j.body)
 	if err != nil {
+		var ae *serve.APIError
+		switch {
+		case !errors.As(err, &ae):
+		case ae.Kind == serve.ErrShed:
+			return shipOutcome{kind: outcomeSaturated, floor: ae.Floor}
+		case ae.Kind == serve.ErrRejected:
+			// The worker rejected a request the coordinator validated —
+			// version skew. No other worker will accept it either.
+			return shipOutcome{kind: outcomeTerminal, msg: "worker rejected job: " + ae.Msg}
+		}
 		c.consumeAttempt(j, w)
 		return shipOutcome{kind: outcomeWorkerLost, msg: "submit: " + err.Error()}
 	}
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-		// Fall through to tracking.
-	case http.StatusTooManyRequests:
-		floor := retryAfterOf(resp)
-		drainBody(resp)
-		return shipOutcome{kind: outcomeSaturated, floor: floor}
-	case http.StatusBadRequest:
-		// The worker rejected a request the coordinator validated —
-		// version skew. No other worker will accept it either.
-		msg := errorBody(resp)
-		return shipOutcome{kind: outcomeTerminal, msg: "worker rejected job: " + msg}
-	default:
-		msg := fmt.Sprintf("submit: worker returned %d", resp.StatusCode)
-		drainBody(resp)
-		c.consumeAttempt(j, w)
-		return shipOutcome{kind: outcomeWorkerLost, msg: msg}
-	}
-
-	var remote serve.JobStatus
-	err = json.NewDecoder(resp.Body).Decode(&remote)
-	resp.Body.Close()
-	if err != nil || remote.ID == "" {
-		c.consumeAttempt(j, w)
-		return shipOutcome{kind: outcomeWorkerLost, msg: fmt.Sprintf("submit: bad accept body (%v)", err)}
-	}
 	c.consumeAttempt(j, w)
+	if remote.ID == "" {
+		return shipOutcome{kind: outcomeWorkerLost, msg: "submit: accept body without a job id"}
+	}
 	shippedAt := time.Now()
 	j.life.Start()
 	c.cfg.Store.Placed(j.id, w.ID)
@@ -206,36 +196,18 @@ func (c *Coordinator) shipAndTrack(j *Job, w WorkerView) shipOutcome {
 		if time.Now().After(j.deadline) {
 			return shipOutcome{kind: outcomeTerminal, msg: "deadline exceeded before completion"}
 		}
-		resp, err := c.cfg.Client.Get(w.Addr + "/v1/jobs/" + remote.ID)
+		st, err := wc.Status(context.Background(), remote.ID)
 		if err != nil {
+			var ae *serve.APIError
+			answered := errors.As(err, &ae) && ae.Status != 0
+			if answered && ae.Kind == serve.ErrNotFound {
+				// The worker restarted and lost its job history; the work
+				// is gone with it.
+				return shipOutcome{kind: outcomeWorkerLost, msg: "worker lost the job (restarted?)"}
+			}
 			fails++
-			if fails >= pollFailLimit || c.reg.isDead(w.ID) {
+			if fails >= pollFailLimit || (!answered && c.reg.isDead(w.ID)) {
 				return shipOutcome{kind: outcomeWorkerLost, msg: "poll: " + err.Error()}
-			}
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			drainBody(resp)
-			// The worker restarted and lost its job history; the work is
-			// gone with it.
-			return shipOutcome{kind: outcomeWorkerLost, msg: "worker lost the job (restarted?)"}
-		}
-		if resp.StatusCode != http.StatusOK {
-			drainBody(resp)
-			fails++
-			if fails >= pollFailLimit {
-				return shipOutcome{kind: outcomeWorkerLost,
-					msg: fmt.Sprintf("poll: worker returned %d", resp.StatusCode)}
-			}
-			continue
-		}
-		var st serve.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			fails++
-			if fails >= pollFailLimit {
-				return shipOutcome{kind: outcomeWorkerLost, msg: "poll: bad status body: " + err.Error()}
 			}
 			continue
 		}
@@ -288,8 +260,9 @@ func (c *Coordinator) completeFromDecision(j *Job) bool {
 		// placement rather than wedging the job.
 		return false
 	}
-	c.finish(j, serve.Results{Search: res})
+	// Counted before the outcome is visible, like every other side effect.
 	c.met.decisionCompletions.Add(1)
+	c.finish(j, serve.Results{Search: res})
 	return true
 }
 
@@ -359,29 +332,6 @@ func (c *Coordinator) sleep(d time.Duration, j *Job) {
 	case <-time.After(d):
 	case <-c.ctx.Done():
 	}
-}
-
-// retryAfterOf extracts a 429's Retry-After backoff floor.
-func retryAfterOf(resp *http.Response) time.Duration {
-	return RetryAfterFloor(resp.Header.Get("Retry-After"))
-}
-
-func drainBody(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-}
-
-// errorBody extracts {"error": ...} from a response, falling back to the
-// status code.
-func errorBody(resp *http.Response) string {
-	defer resp.Body.Close()
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e); err == nil && e.Error != "" {
-		return e.Error
-	}
-	return resp.Status
 }
 
 // idSeed folds a job id into backoff-jitter seed material.

@@ -62,7 +62,7 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 // clock shifted by the worker's start offset. A dead or unreachable worker
 // contributes nothing rather than failing the export.
 func (c *Coordinator) fetchWorkerTrace(s traceSource, base int) []trace.Event {
-	resp, err := c.cfg.Client.Get(s.addr + "/debug/trace")
+	resp, err := c.http.Get(s.addr + "/debug/trace")
 	if err != nil {
 		return nil
 	}

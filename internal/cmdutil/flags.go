@@ -63,24 +63,3 @@ func TenantWeights(s string) (map[string]int, error) {
 	}
 	return out, nil
 }
-
-// IntList parses a comma-separated list of positive integers, e.g. a
-// "1,4,16" client-concurrency sweep.
-func IntList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad list element %q (want positive integers)", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
-}

@@ -1,12 +1,11 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -217,14 +216,9 @@ func TestUnjournaledSubmitRefused(t *testing.T) {
 	}
 	front := httptest.NewServer(s.Handler())
 	defer front.Close()
-	resp, err := http.Post(front.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"type":"tree","tree":{"leaves":8}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("HTTP submit on a closed WAL answered %d, want 503", resp.StatusCode)
+	_, err = NewClient[JobStatus](front.URL, front.Client()).Submit(context.Background(), []byte(`{"type":"tree","tree":{"leaves":8}}`))
+	if apiError(t, err).Kind != ErrUnavailable {
+		t.Fatalf("HTTP submit on a closed WAL answered %v, want 503", err)
 	}
 }
 

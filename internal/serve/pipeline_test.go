@@ -71,20 +71,17 @@ func TestPipelineStreamsOverHTTPBeforeCompletion(t *testing.T) {
 	defer ts.Close()
 
 	// 50ms per report record: first line ~50ms in, stream complete ~150ms.
-	resp, st := postJob(t, ts.Client(), ts.URL, JobRequest{Type: JobPipeline, Pipeline: pipelineSpec(50_000)})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
+	c := NewClient[JobStatus](ts.URL, ts.Client())
+	st, err := c.Submit(context.Background(), mustJSON(t, JobRequest{Type: JobPipeline, Pipeline: pipelineSpec(50_000)}))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
 	}
-
-	sres, err := ts.Client().Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
+	stream, err := c.Stream(context.Background(), st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sres.Body.Close()
-	if ct := sres.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream content-type %q", ct)
-	}
-	sc := bufio.NewScanner(sres.Body)
+	defer stream.Close()
+	sc := bufio.NewScanner(stream)
 	if !sc.Scan() {
 		t.Fatalf("stream ended before first record: %v", sc.Err())
 	}
@@ -146,13 +143,8 @@ func TestMetricsPipelineBlockShape(t *testing.T) {
 	defer ts.Close()
 
 	getMetrics := func() map[string]any {
-		resp, err := ts.Client().Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
 		var doc map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		if err := NewClient[JobStatus](ts.URL, ts.Client()).Metrics(context.Background(), &doc); err != nil {
 			t.Fatal(err)
 		}
 		return doc

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"strconv"
+	"time"
 
 	"repro/internal/qos"
 )
@@ -19,6 +21,17 @@ var ErrQueueFull = errors.New("serve: admission queue full")
 // cluster re-placement path assumes when a saturated worker omits or
 // mangles the header.
 const RetryAfterSeconds = 1
+
+// RetryAfterFloor turns a Retry-After header value into the backoff floor
+// it demands, defaulting to RetryAfterSeconds when the header is absent or
+// not an integer (the HTTP-date form is not worth supporting here). The
+// Client reads every 429 and 503 through it.
+func RetryAfterFloor(header string) time.Duration {
+	if s, err := strconv.Atoi(header); err == nil && s >= 0 {
+		return time.Duration(s) * time.Second
+	}
+	return RetryAfterSeconds * time.Second
+}
 
 // ErrDraining is returned once the server has begun graceful shutdown; the
 // HTTP layer maps it to 503.

@@ -108,24 +108,19 @@ func shutdownServer(t *testing.T, s *Server) {
 	}
 }
 
-func postJob(t *testing.T, client *http.Client, url string, req JobRequest) (*http.Response, JobStatus) {
+func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st JobStatus
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatalf("submit response not JSON: %v", err)
-		}
-	}
-	return resp, st
+	return body
+}
+
+// submitJob posts req to the server behind ts through the job API client.
+func submitJob(t *testing.T, ts *httptest.Server, req JobRequest) (JobStatus, error) {
+	t.Helper()
+	return NewClient[JobStatus](ts.URL, ts.Client()).Submit(context.Background(), mustJSON(t, req))
 }
 
 func TestAlignJobEndToEnd(t *testing.T) {
@@ -133,12 +128,12 @@ func TestAlignJobEndToEnd(t *testing.T) {
 	s := New(Config{Workers: 2, QueueCap: 8})
 	ts := httptest.NewServer(s.Handler())
 
-	resp, st := postJob(t, ts.Client(), ts.URL, JobRequest{
+	st, err := submitJob(t, ts, JobRequest{
 		Type:  JobAlign,
 		Align: &bio.AlignJob{N: 6, Len: 40, Seed: 3},
 	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
 	}
 	if st.ID == "" || st.State != StateQueued {
 		t.Fatalf("submit returned %+v", st)
@@ -159,15 +154,10 @@ func TestAlignJobEndToEnd(t *testing.T) {
 	}
 
 	// Poll over HTTP too: same status document.
-	hres, err := ts.Client().Get(ts.URL + "/v1/jobs/" + st.ID)
+	polled, err := NewClient[JobStatus](ts.URL, ts.Client()).Status(context.Background(), st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var polled JobStatus
-	if err := json.NewDecoder(hres.Body).Decode(&polled); err != nil {
-		t.Fatal(err)
-	}
-	hres.Body.Close()
 	if polled.State != StateDone || polled.Align == nil {
 		t.Fatalf("HTTP poll returned %+v", polled)
 	}
@@ -222,16 +212,21 @@ func TestQueueFullShedsAndRecovers(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 2; i++ {
-		resp, st := postJob(t, ts.Client(), ts.URL, tiny(int64(i)))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("fill submit %d = %d", i, resp.StatusCode)
+		st, err := submitJob(t, ts, tiny(int64(i)))
+		if err != nil {
+			t.Fatalf("fill submit %d: %v", i, err)
 		}
 		ids = append(ids, st.ID)
 	}
 
 	// Queue is at its bound: the next request is shed with 429 +
-	// Retry-After instead of growing memory.
-	resp, _ := postJob(t, ts.Client(), ts.URL, tiny(9))
+	// Retry-After instead of growing memory. The header is checked on the
+	// wire, since the client fills in a default floor when it is absent.
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(mustJSON(t, tiny(9))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-bound submit = %d, want 429", resp.StatusCode)
 	}
@@ -249,9 +244,9 @@ func TestQueueFullShedsAndRecovers(t *testing.T) {
 			t.Fatalf("queued job %s ended %s: %s", id, st.State, st.Error)
 		}
 	}
-	resp, st := postJob(t, ts.Client(), ts.URL, tiny(9))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("post-drain submit = %d, want 202", resp.StatusCode)
+	st, err := submitJob(t, ts, tiny(9))
+	if err != nil {
+		t.Fatalf("post-drain submit: %v", err)
 	}
 	if fin := waitTerminal(t, s, st.ID); fin.State != StateDone {
 		t.Fatalf("post-drain job ended %s", fin.State)
@@ -598,30 +593,17 @@ func TestRejectsMalformedRequests(t *testing.T) {
 		{"strand without source", JobRequest{Type: JobStrand, Strand: &StrandSpec{}}},
 		{"mismatched spec", JobRequest{Type: JobAlign, Tree: &TreeSpec{Leaves: 8}}},
 	}
+	c := NewClient[JobStatus](ts.URL, ts.Client())
 	for _, tc := range cases {
-		resp, _ := postJob(t, ts.Client(), ts.URL, tc.req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		if _, err := submitJob(t, ts, tc.req); apiError(t, err).Kind != ErrRejected {
+			t.Errorf("%s: %v, want 400", tc.name, err)
 		}
 	}
-
-	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := c.Submit(context.Background(), []byte("{not json")); apiError(t, err).Kind != ErrRejected {
+		t.Fatalf("bad JSON: %v, want 400", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON: status %d, want 400", resp.StatusCode)
-	}
-
-	resp, err = ts.Client().Get(ts.URL + "/v1/jobs/j999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown id: status %d, want 404", resp.StatusCode)
+	if _, err := c.Status(context.Background(), "j999999"); apiError(t, err).Kind != ErrNotFound {
+		t.Fatalf("unknown id: %v, want 404", err)
 	}
 
 	if got := s.Metrics().Rejected; got < int64(len(cases)) {
