@@ -46,7 +46,7 @@ perfbench-check:
 	$(GO) -C perfbench test -short .
 
 race:
-	$(GO) test -race ./internal/memo/... ./internal/memoshare/... ./internal/skel/... ./internal/motifs/... ./internal/serve/... ./internal/cluster/... ./internal/store/... ./internal/bio/... ./internal/qos/... ./internal/jobs/...
+	$(GO) test -race ./internal/memo/... ./internal/memoshare/... ./internal/skel/... ./internal/motifs/... ./internal/serve/... ./internal/cluster/... ./internal/store/... ./internal/bio/... ./internal/qos/... ./internal/jobs/... ./internal/pipeline/...
 
 # fuzz-smoke runs each fuzz target briefly: the WAL targets exercise the
 # mutator on the torn/corrupt seed corpus, the kernel target cross-checks

@@ -63,6 +63,8 @@
 //	POST /v1/jobs               submit a job (202 with id; 429 + Retry-After
 //	                            when the pending bound is hit)
 //	GET  /v1/jobs/{id}          poll a job
+//	GET  /v1/jobs/{id}/stream   a pipeline job's records as NDJSON, once it
+//	                            is done (its durable output)
 //	GET  /v1/jobs               list recent jobs
 //	GET  /metrics               coordinator + per-worker metrics (?format=text)
 //	GET  /debug/trace           event stream (?format=chrome merges all live

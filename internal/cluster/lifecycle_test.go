@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,5 +191,50 @@ func TestCoordinatorUnjournaledSubmitRefused(t *testing.T) {
 	}
 	if m := c.Metrics(); m.Accepted != 0 || m.Store.Errors == 0 {
 		t.Fatalf("accepted %d, store errors %d", m.Accepted, m.Store.Errors)
+	}
+}
+
+// shutdownPolicy runs shutdown the first time its name is read after arm
+// is set: Submit reads it (to label the job) after its drain check, so the
+// shutdown closes the scheduler under a submission already past that
+// check.
+type shutdownPolicy struct {
+	Policy
+	arm  func()
+	once sync.Once
+}
+
+func (p *shutdownPolicy) Name() string {
+	if p.arm != nil {
+		p.once.Do(p.arm)
+	}
+	return p.Policy.Name()
+}
+
+// TestCoordinatorRefusalAtShutdownNotReplaced: a submission refused
+// because shutdown closed the scheduler under it answers draining, and the
+// WAL holds nothing incomplete — a restart or a standby takeover never
+// places it.
+func TestCoordinatorRefusalAtShutdownNotReplaced(t *testing.T) {
+	dir := t.TempDir()
+	js := openClusterStore(t, dir)
+	policy := &shutdownPolicy{Policy: preferPolicy{}}
+	cfg := fastConfig()
+	cfg.Store = js
+	cfg.Policy = policy
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy.arm = func() { shutdownCoordinator(t, c) }
+	if _, err := c.Submit(treeReq(8)); err == nil {
+		t.Fatal("submission accepted by a coordinator that shut down")
+	}
+	js.Close()
+
+	reopened := openClusterStore(t, dir)
+	defer reopened.Close()
+	if inc := reopened.Incomplete(); len(inc) != 0 {
+		t.Fatalf("refused job left incomplete in the WAL, to be placed again: %+v", inc)
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/memo"
 )
 
-// defaultMemoIndexCap bounds the digest→workers index. At ~100 bytes per
+// memoIndexCap bounds the digest→workers index. At ~100 bytes per
 // entry this is a few MB at the cap; LRU eviction keeps the index biased
 // toward recently filled (therefore still resident) entries, matching the
 // workers' own LRU caches.
-const defaultMemoIndexCap = 8192
+const memoIndexCap = 8192
 
 // memoIndex is the coordinator's digest→workers map for the peer memo
 // tier: which live workers recently filled which transferable cache
@@ -22,7 +22,6 @@ const defaultMemoIndexCap = 8192
 // correctness.
 type memoIndex struct {
 	mu      sync.Mutex
-	cap     int
 	entries map[memo.Key]*list.Element
 	lru     *list.List // front = most recently filled/looked-up
 
@@ -40,12 +39,8 @@ type memoEntry struct {
 	holders map[string]struct{}
 }
 
-func newMemoIndex(capacity int) *memoIndex {
-	if capacity <= 0 {
-		capacity = defaultMemoIndexCap
-	}
+func newMemoIndex() *memoIndex {
 	return &memoIndex{
-		cap:     capacity,
 		entries: make(map[memo.Key]*list.Element),
 		lru:     list.New(),
 	}
@@ -64,7 +59,7 @@ func (x *memoIndex) add(k memo.Key, id string) {
 	}
 	e := &memoEntry{key: k, holders: map[string]struct{}{id: {}}}
 	x.entries[k] = x.lru.PushFront(e)
-	for len(x.entries) > x.cap {
+	for len(x.entries) > memoIndexCap {
 		back := x.lru.Back()
 		if back == nil {
 			break
@@ -137,7 +132,7 @@ func (x *memoIndex) stats() MemoIndexStats {
 	x.mu.Unlock()
 	return MemoIndexStats{
 		Entries:  n,
-		Capacity: x.cap,
+		Capacity: memoIndexCap,
 		Adds:     x.adds.Load(),
 		Lookups:  x.lookups.Load(),
 		Hits:     x.hits.Load(),

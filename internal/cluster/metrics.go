@@ -1,63 +1,20 @@
 package cluster
 
 import (
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/metrics"
-	"repro/internal/qos"
 	"repro/internal/serve"
-	"repro/internal/store"
 )
 
-// latencyBoundsMicros buckets end-to-end cluster job latencies (accept →
-// completion). Shipping adds network round trips and possible retries, so
-// the range extends past the local serving layer's, up to 30s.
-var latencyBoundsMicros = []int64{
-	500, 1_000, 2_500, 5_000,
-	10_000, 25_000, 50_000,
-	100_000, 250_000, 500_000,
-	1_000_000, 2_500_000, 5_000_000, 10_000_000, 30_000_000,
-}
-
-// coordMetrics aggregates the coordinator's counters.
+// coordMetrics counts what the placement loop and the registry see; the
+// admission and outcome counters are the host's.
 type coordMetrics struct {
-	start time.Time
-
-	accepted  atomic.Int64
-	shed      atomic.Int64 // 429s the coordinator returned (pending bound)
-	rejected  atomic.Int64 // malformed submissions (400s)
-	deduped   atomic.Int64 // resubmissions answered from the dedup table
-	collapsed atomic.Int64 // submissions attached to an identical in-flight job
-	done      atomic.Int64
-	failed    atomic.Int64
-
-	preempted atomic.Int64 // queued jobs evicted for higher-class arrivals
-
 	retries      atomic.Int64 // re-placements after a worker failure
 	saturated    atomic.Int64 // re-placements after a worker 429
 	workerDeaths atomic.Int64 // heartbeat expiries
 
 	decisionsHarvested  atomic.Int64 // mid-flight decision records journaled from worker polls
 	decisionCompletions atomic.Int64 // jobs finished from a decision record instead of a re-placement
-
-	mu      sync.Mutex
-	latency *metrics.Histogram
-}
-
-func newCoordMetrics() *coordMetrics {
-	return &coordMetrics{start: time.Now(), latency: metrics.NewHistogram(latencyBoundsMicros...)}
-}
-
-// sinceMicros is the coordinator's wall clock in microseconds since start
-// — the Cycle domain of its trace events.
-func (m *coordMetrics) sinceMicros() int64 { return time.Since(m.start).Microseconds() }
-
-func (m *coordMetrics) observeLatency(d time.Duration) {
-	m.mu.Lock()
-	m.latency.Observe(d.Microseconds())
-	m.mu.Unlock()
 }
 
 // WorkerMetrics is one worker's row in the coordinator's /metrics.
@@ -89,28 +46,21 @@ type WorkerMetrics struct {
 	Completed int64 `json:"completed"`
 	Retried   int64 `json:"retried"`
 	Saturated bool  `json:"saturated"`
+	// clockOffset is the worker pool's t=0 on the coordinator's trace
+	// clock, for merging its trace.
+	clockOffset int64
 }
 
 // MetricsSnapshot is the coordinator's /metrics JSON document.
 type MetricsSnapshot struct {
-	UptimeMS float64 `json:"uptime_ms"`
-	Policy   string  `json:"policy"`
+	serve.HostMetrics
+	Policy string `json:"policy"`
 	// LiveWorkers counts workers currently accepting placements; Pending
 	// counts accepted jobs not yet terminal (bounded by PendingCap).
-	LiveWorkers int `json:"live_workers"`
-	Pending     int `json:"pending"`
-	PendingCap  int `json:"pending_cap"`
-
-	Accepted  int64 `json:"accepted"`
-	Shed      int64 `json:"shed"`
-	Rejected  int64 `json:"rejected"`
-	Deduped   int64 `json:"deduped"`
-	Collapsed int64 `json:"collapsed"`
-	Done      int64 `json:"done"`
-	Failed    int64 `json:"failed"`
-	// Preempted counts queued jobs evicted by higher-class arrivals under
-	// fair QoS (they finish StatePreempted, retriable by the client).
-	Preempted int64 `json:"preempted"`
+	LiveWorkers int   `json:"live_workers"`
+	Pending     int   `json:"pending"`
+	PendingCap  int   `json:"pending_cap"`
+	Accepted    int64 `json:"accepted"`
 
 	// Retries counts re-placements after worker failures; Saturated counts
 	// re-placements after worker 429s; WorkerDeaths counts heartbeat
@@ -126,24 +76,17 @@ type MetricsSnapshot struct {
 	DecisionsHarvested  int64 `json:"decisions_harvested,omitempty"`
 	DecisionCompletions int64 `json:"decision_completions,omitempty"`
 
-	Latency serve.LatencySummary `json:"latency"`
-	Workers []WorkerMetrics      `json:"workers"`
+	Workers []WorkerMetrics `json:"workers"`
 	// Memo aggregates the workers' last-reported memo cache counters into a
 	// cluster-wide view; absent when no worker has memoization enabled.
 	Memo *ClusterMemoSummary `json:"memo,omitempty"`
 	// MemoIndex is the peer memo tier's digest→workers index; absent
 	// until a worker advertises a fill or a peer looks one up.
 	MemoIndex *MemoIndexStats `json:"memo_index,omitempty"`
-	// QoS is the coordinator admission scheduler's per-tenant accounting.
-	QoS *qos.Snapshot `json:"qos,omitempty"`
 	// TenantDepths sums the workers' last-reported per-tenant queue depths
 	// into the cluster-wide per-tenant load; absent when no worker reports
 	// tenant queues.
 	TenantDepths map[string]int `json:"tenant_depths,omitempty"`
-
-	TraceEvents int64 `json:"trace_events"`
-	// Store is the durability block; absent when no store is configured.
-	Store *store.MetricsSnapshot `json:"store,omitempty"`
 }
 
 // ClusterMemoSummary is the cluster-wide aggregate of the workers'
@@ -193,17 +136,7 @@ func memoSummary(workers []WorkerMetrics) *ClusterMemoSummary {
 	return &s
 }
 
-func (m *coordMetrics) snapshot(policy string, pending, pendingCap int, workers []WorkerMetrics, traceEvents int64, storeSnap *store.MetricsSnapshot, qosSnap *qos.Snapshot) MetricsSnapshot {
-	m.mu.Lock()
-	lat := serve.LatencySummary{
-		Count:  m.latency.Count(),
-		MeanMS: m.latency.Mean() / 1000,
-		P50MS:  m.latency.Quantile(0.50) / 1000,
-		P95MS:  m.latency.Quantile(0.95) / 1000,
-		P99MS:  m.latency.Quantile(0.99) / 1000,
-		MaxMS:  float64(m.latency.Max()) / 1000,
-	}
-	m.mu.Unlock()
+func (m *coordMetrics) snapshot(h serve.Counts, policy string, pendingCap int, workers []WorkerMetrics) MetricsSnapshot {
 	live := 0
 	for _, w := range workers {
 		if w.Live {
@@ -211,31 +144,20 @@ func (m *coordMetrics) snapshot(policy string, pending, pendingCap int, workers 
 		}
 	}
 	return MetricsSnapshot{
-		UptimeMS:     float64(m.sinceMicros()) / 1000,
+		HostMetrics:  h.HostMetrics,
 		Policy:       policy,
 		LiveWorkers:  live,
-		Pending:      pending,
+		Pending:      h.Live,
 		PendingCap:   pendingCap,
-		Accepted:     m.accepted.Load(),
-		Shed:         m.shed.Load(),
-		Rejected:     m.rejected.Load(),
-		Deduped:      m.deduped.Load(),
-		Collapsed:    m.collapsed.Load(),
-		Done:         m.done.Load(),
-		Failed:       m.failed.Load(),
-		Preempted:    m.preempted.Load(),
+		Accepted:     h.Admitted,
 		Retries:      m.retries.Load(),
 		Saturated:    m.saturated.Load(),
 		WorkerDeaths: m.workerDeaths.Load(),
 
 		DecisionsHarvested:  m.decisionsHarvested.Load(),
 		DecisionCompletions: m.decisionCompletions.Load(),
-		Latency:             lat,
 		Workers:             workers,
 		Memo:                memoSummary(workers),
-		QoS:                 qosSnap,
 		TenantDepths:        tenantDepths(workers),
-		TraceEvents:         traceEvents,
-		Store:               storeSnap,
 	}
 }

@@ -48,9 +48,9 @@ func TestClusterQoSShedAndPreempt(t *testing.T) {
 	waitDepth := func(want int) {
 		t.Helper()
 		deadline := time.Now().Add(2 * time.Second)
-		for c.sched.Depth() != want {
+		for c.Metrics().QoS.Depth != want {
 			if time.Now().After(deadline) {
-				t.Fatalf("scheduler depth %d, want %d", c.sched.Depth(), want)
+				t.Fatalf("scheduler depth %d, want %d", c.Metrics().QoS.Depth, want)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -106,7 +106,7 @@ func TestClusterQoSShedAndPreempt(t *testing.T) {
 	if v := low[1].View(); v.State != serve.StatePreempted {
 		t.Fatalf("victim resurrected as %s", v.State)
 	}
-	if got := c.pending.Load(); got != 0 {
+	if got := c.Metrics().Pending; got != 0 {
 		t.Fatalf("pending = %d after drain, want 0", got)
 	}
 }

@@ -6,39 +6,19 @@ import (
 	"time"
 )
 
-// workerState is the coordinator's record of one registered worker.
+// workerState is the coordinator's record of one registered worker: its
+// /metrics row, kept current by registration, heartbeats and placements.
 type workerState struct {
-	info  WorkerInfo
-	index int
+	row WorkerMetrics
 
 	// lastBeat is the most recent registration or heartbeat; dead is set
 	// by the expiry sweep and cleared by re-registration.
 	lastBeat time.Time
 	dead     bool
 
-	// Last heartbeat payload.
-	queueDepth int
-	inflight   int64
-	done       int64
-	failed     int64
-	memoHits   int64
-	memoMisses int64
-	// memoRemoteHits counts local misses the worker answered by peer
-	// fetch (memoshare) — the remote half of the cluster warm hit-rate.
-	memoRemoteHits int64
-	tenants        map[string]int // per-tenant queue depth, non-empty only
-	// startOffset is the worker pool's t=0 expressed in coordinator
-	// microseconds (from heartbeat uptime), used to align merged traces.
-	startOffset int64
-
 	// saturatedUntil is the end of the backoff window opened by a 429
 	// from this worker.
 	saturatedUntil time.Time
-
-	// Coordinator-side shipping counters.
-	shipped   int64
-	completed int64
-	retried   int64 // jobs re-placed off this worker after it failed
 }
 
 // registry tracks registered workers and their liveness. All methods are
@@ -46,13 +26,13 @@ type workerState struct {
 type registry struct {
 	mu        sync.Mutex
 	expiry    time.Duration
-	start     time.Time
+	clock     func() int64 // the coordinator's trace clock, µs since start
 	workers   map[string]*workerState
 	nextIndex int
 }
 
-func newRegistry(expiry time.Duration, start time.Time) *registry {
-	return &registry{expiry: expiry, start: start, workers: make(map[string]*workerState)}
+func newRegistry(expiry time.Duration, clock func() int64) *registry {
+	return &registry{expiry: expiry, clock: clock, workers: make(map[string]*workerState)}
 }
 
 // register adds or refreshes a worker, preserving the index (and so the
@@ -62,15 +42,15 @@ func (r *registry) register(info WorkerInfo, now time.Time) int {
 	defer r.mu.Unlock()
 	ws, ok := r.workers[info.ID]
 	if !ok {
-		ws = &workerState{index: r.nextIndex}
+		ws = &workerState{row: WorkerMetrics{ID: info.ID, Index: r.nextIndex}}
 		r.nextIndex++
 		r.workers[info.ID] = ws
 	}
-	ws.info = info
+	ws.row.Addr, ws.row.PoolWorkers = info.Addr, info.Workers
 	ws.lastBeat = now
 	ws.dead = false
 	ws.saturatedUntil = time.Time{}
-	return ws.index
+	return ws.row.Index
 }
 
 // heartbeat records a load report; false means the worker is unknown (the
@@ -84,15 +64,11 @@ func (r *registry) heartbeat(hb Heartbeat, now time.Time) bool {
 	}
 	ws.lastBeat = now
 	ws.dead = false
-	ws.queueDepth = hb.QueueDepth
-	ws.inflight = hb.Inflight
-	ws.done = hb.Done
-	ws.failed = hb.Failed
-	ws.memoHits = hb.MemoHits
-	ws.memoMisses = hb.MemoMisses
-	ws.memoRemoteHits = hb.MemoRemoteHits
-	ws.tenants = hb.Tenants
-	ws.startOffset = now.Sub(r.start).Microseconds() - hb.UptimeMicros
+	m := &ws.row
+	m.QueueDepth, m.Inflight, m.Done, m.Failed = hb.QueueDepth, hb.Inflight, hb.Done, hb.Failed
+	m.MemoHits, m.MemoMisses, m.MemoRemoteHits = hb.MemoHits, hb.MemoMisses, hb.MemoRemoteHits
+	m.Tenants = hb.Tenants
+	m.clockOffset = r.clock() - hb.UptimeMicros
 	return true
 }
 
@@ -124,9 +100,9 @@ func (r *registry) live(now time.Time) []WorkerView {
 		}
 		out = append(out, WorkerView{
 			ID:        id,
-			Index:     ws.index,
-			Addr:      ws.info.Addr,
-			Load:      ws.queueDepth + int(ws.inflight),
+			Index:     ws.row.Index,
+			Addr:      ws.row.Addr,
+			Load:      ws.row.QueueDepth + int(ws.row.Inflight),
 			Saturated: now.Before(ws.saturatedUntil),
 		})
 	}
@@ -152,15 +128,15 @@ func (r *registry) markSaturated(id string, until time.Time) {
 }
 
 // note* bump the coordinator-side shipping counters.
-func (r *registry) noteShipped(id string)   { r.bump(id, func(ws *workerState) { ws.shipped++ }) }
-func (r *registry) noteCompleted(id string) { r.bump(id, func(ws *workerState) { ws.completed++ }) }
-func (r *registry) noteRetried(id string)   { r.bump(id, func(ws *workerState) { ws.retried++ }) }
+func (r *registry) noteShipped(id string)   { r.bump(id, func(m *WorkerMetrics) { m.Shipped++ }) }
+func (r *registry) noteCompleted(id string) { r.bump(id, func(m *WorkerMetrics) { m.Completed++ }) }
+func (r *registry) noteRetried(id string)   { r.bump(id, func(m *WorkerMetrics) { m.Retried++ }) }
 
-func (r *registry) bump(id string, f func(*workerState)) {
+func (r *registry) bump(id string, f func(*WorkerMetrics)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ws, ok := r.workers[id]; ok {
-		f(ws)
+		f(&ws.row)
 	}
 }
 
@@ -169,58 +145,13 @@ func (r *registry) snapshot(now time.Time) []WorkerMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]WorkerMetrics, 0, len(r.workers))
-	for id, ws := range r.workers {
-		out = append(out, WorkerMetrics{
-			ID:             id,
-			Index:          ws.index,
-			Addr:           ws.info.Addr,
-			PoolWorkers:    ws.info.Workers,
-			Live:           !ws.dead,
-			LastBeatAgeMS:  float64(now.Sub(ws.lastBeat).Microseconds()) / 1000,
-			QueueDepth:     ws.queueDepth,
-			Inflight:       ws.inflight,
-			Done:           ws.done,
-			Failed:         ws.failed,
-			MemoHits:       ws.memoHits,
-			MemoMisses:     ws.memoMisses,
-			MemoRemoteHits: ws.memoRemoteHits,
-			Tenants:        ws.tenants,
-			Shipped:        ws.shipped,
-			Completed:      ws.completed,
-			Retried:        ws.retried,
-			Saturated:      now.Before(ws.saturatedUntil),
-		})
+	for _, ws := range r.workers {
+		m := ws.row
+		m.Live = !ws.dead
+		m.LastBeatAgeMS = float64(now.Sub(ws.lastBeat).Microseconds()) / 1000
+		m.Saturated = now.Before(ws.saturatedUntil)
+		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out
-}
-
-// traceSources returns, for every live worker, what the trace merger needs:
-// address, lane base offset input (pool size), and clock offset.
-func (r *registry) traceSources() []traceSource {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []traceSource
-	for id, ws := range r.workers {
-		if ws.dead {
-			continue
-		}
-		out = append(out, traceSource{
-			id:          id,
-			index:       ws.index,
-			addr:        ws.info.Addr,
-			poolWorkers: ws.info.Workers,
-			clockOffset: ws.startOffset,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].index < out[j].index })
-	return out
-}
-
-type traceSource struct {
-	id          string
-	index       int
-	addr        string
-	poolWorkers int
-	clockOffset int64
 }

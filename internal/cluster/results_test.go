@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -107,5 +108,65 @@ func TestClusterPipelineKeepsResult(t *testing.T) {
 	defer front2.Close()
 	if got := pipelineOf(front2); !bytes.Equal(got, want) {
 		t.Fatalf("pipeline block after coordinator restart:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestClusterPipelineStreams opens GET /v1/jobs/{id}/stream on a pipeline
+// job through motifctl before any worker exists to run it: the stream
+// waits for the job, then answers with its durable output, byte-equal to
+// motifd's live stream of the same spec, and ends.
+func TestClusterPipelineStreams(t *testing.T) {
+	req := serve.JobRequest{Type: serve.JobPipeline, Pipeline: &pipeline.Spec{
+		N: 10, Len: 40, Seed: 7,
+		Stages: []pipeline.StageSpec{{Name: "filter", MinLen: 4}, {Name: "align", Band: 8}, {Name: "report"}},
+	}}
+	body, _ := json.Marshal(req)
+	readStream := func(ts *httptest.Server, id string) []byte {
+		t.Helper()
+		rc, err := serve.NewClient[serve.JobStatus](ts.URL, ts.Client()).Stream(context.Background(), id)
+		if err != nil {
+			t.Errorf("stream %s: %v", id, err)
+			return nil
+		}
+		defer rc.Close()
+		got, err := io.ReadAll(rc)
+		if err != nil {
+			t.Errorf("stream %s did not end cleanly: %v", id, err)
+		}
+		return got
+	}
+
+	_, ref := newRealWorker(t)
+	refJob, err := serve.NewClient[serve.JobStatus](ref.URL, ref.Client()).Submit(context.Background(), body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := readStream(ref, refJob.ID)
+	if len(want) == 0 {
+		t.Fatal("motifd streamed nothing")
+	}
+
+	c, err := NewCoordinator(fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownCoordinator(t, c)
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+	accepted, err := frontClient(front).Submit(context.Background(), body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := make(chan []byte, 1)
+	go func() { streamed <- readStream(front, accepted.ID) }()
+	select {
+	case got := <-streamed:
+		t.Fatalf("stream answered %q before the job ran", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	_, ws := newRealWorker(t)
+	c.reg.register(WorkerInfo{ID: "w1", Addr: ws.URL, Workers: 2}, time.Now())
+	if got := <-streamed; !bytes.Equal(got, want) {
+		t.Fatalf("stream through motifctl:\n got %s\nwant %s", got, want)
 	}
 }

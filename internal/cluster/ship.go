@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/memo"
 	"repro/internal/serve"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -17,11 +19,9 @@ import (
 type outcomeKind int
 
 const (
-	// outcomeDone: the worker completed the job.
-	outcomeDone outcomeKind = iota
-	// outcomeTerminal: the job itself failed (or its deadline passed);
-	// retrying elsewhere cannot help.
-	outcomeTerminal
+	// outcomeBound: the worker completed the job, or the job itself
+	// failed (or its deadline passed) and retrying elsewhere cannot help.
+	outcomeBound outcomeKind = iota
 	// outcomeWorkerLost: the worker died or lost the job; retry on a
 	// different worker (attempt consumed, worker excluded).
 	outcomeWorkerLost
@@ -31,11 +31,16 @@ const (
 )
 
 type shipOutcome struct {
-	kind   outcomeKind
-	msg    string
-	floor  time.Duration    // saturation backoff floor (Retry-After)
-	result *serve.JobStatus // terminal worker status on outcomeDone
+	kind  outcomeKind
+	o     serve.Outcome // the job's outcome on outcomeBound
+	msg   string
+	floor time.Duration // saturation backoff floor (Retry-After)
 }
+
+// failure is the outcome of a job that failed with msg; failed ends a
+// placement with it.
+func failure(msg string) serve.Outcome { return serve.Outcome{State: serve.StateError, Err: msg} }
+func failed(msg string) shipOutcome    { return shipOutcome{kind: outcomeBound, o: failure(msg)} }
 
 // pollFailLimit is how many consecutive poll failures declare the worker
 // lost even before its heartbeats expire — a killed process refuses
@@ -43,52 +48,106 @@ type shipOutcome struct {
 // liveness window.
 const pollFailLimit = 3
 
-// run owns one accepted job end to end: place, ship, track, and re-place
-// on failure until the job completes, its attempts are exhausted, or its
-// deadline passes. One goroutine per pending job; the pending bound caps
-// them.
-func (c *Coordinator) run(j *Job) {
-	defer c.jobsWG.Done()
-	defer c.pending.Add(-1)
-	// A journaled decision (e.g. a FirstOnly search's short-circuit winner,
-	// loaded during recovery) already fixes the job's outcome; completing
-	// from it here means a restarted coordinator never re-places terminated
-	// work.
-	if c.completeFromDecision(j) {
-		return
+// remote is motifctl's executor, the placement loop: the Coordinator seen
+// through the serve.Executor interface. Each dispatch loop owns one job at
+// a time end to end.
+type remote Coordinator
+
+// Key is the request's content digest. Under label placement an unlabeled
+// job is labeled with it, so identical jobs land on the same worker and
+// warm its memo cache; the shipped body carries the label too (workers
+// ignore it). With MemoCollapse, identical live submissions collapse onto
+// one placement.
+func (c *remote) Key(req *serve.JobRequest) (memo.Key, bool) {
+	key, ok := serve.ContentKey(req)
+	if ok && req.Label == "" && c.cfg.Policy.Name() == "label" {
+		req.Label = key.Short()
 	}
+	return key, ok && c.cfg.MemoCollapse
+}
+
+// Cached finds nothing: results are cached on the workers.
+func (c *remote) Cached(memo.Key) (serve.Results, bool) { return serve.Results{}, false }
+
+// Fill keeps nothing.
+func (c *remote) Fill(memo.Key, serve.Results) {}
+
+// Job builds motifctl's job; a replayed one names the worker it was last
+// placed on.
+func (c *remote) Job(t *serve.Task[*Job], replayed *store.JobState) *Job {
+	j := &Job{t: t, id: t.ID(), req: t.Request(), life: t.Life(), excluded: make(map[string]bool)}
+	if replayed != nil {
+		j.workerID = replayed.Worker
+	}
+	return j
+}
+
+// View is the job's cluster view.
+func (c *remote) View(j *Job, full bool) any {
+	v := j.View()
+	if !full {
+		v.Results = serve.Results{}
+	}
+	return v
+}
+
+// Run owns one accepted job end to end — place, ship, track, and re-place
+// on failure until the job completes, its attempts are exhausted, or its
+// deadline passes — and feeds the time it took to the drain estimate
+// behind shed Retry-After advice. A job leaves for a worker only once its
+// accepted record is durable. A journaled decision (e.g. a FirstOnly
+// search's short-circuit winner, loaded during recovery) already fixes the
+// job's outcome; completing from it means a restarted coordinator never
+// re-places terminated work.
+func (c *remote) Run(_ int, j *Job) {
+	start := time.Now()
+	<-j.t.Journaled()
+	if j.life.Live() {
+		o, ok := c.decided(j)
+		if !ok {
+			o = c.place(j)
+		}
+		c.host.Bind(j.t, o)
+	}
+	c.host.ObserveDone(j.req.Tenant, time.Since(start))
+}
+
+// place ships j to workers until it has an outcome.
+func (c *remote) place(j *Job) serve.Outcome {
+	// The request is shipped verbatim on each attempt.
+	body, err := json.Marshal(j.req)
+	if err != nil {
+		return failure(err.Error())
+	}
+	ctx := j.t.Context()
 	bo := NewBackoff(c.cfg.RetryBase, c.cfg.RetryMax, c.cfg.Seed^idSeed(j.id))
 	for {
-		if c.ctx.Err() != nil {
-			c.fail(j, "coordinator shut down")
-			return
+		select {
+		case <-c.host.Stopped():
+			return failure("coordinator shut down")
+		default:
 		}
-		if time.Now().After(j.deadline) {
-			c.fail(j, "deadline exceeded before completion")
-			return
+		if ctx.Err() != nil {
+			return failure("deadline exceeded before completion")
 		}
 		w, ok := c.pickWorker(j)
 		if !ok {
 			// No live, unexcluded, unsaturated worker right now: wait for
 			// a heartbeat, a registration, or a 429 window to pass.
-			c.sleep(bo.Next(0), j)
+			c.sleep(bo.Next(0), ctx)
 			continue
 		}
-		out := c.shipAndTrack(j, w)
+		out := c.shipAndTrack(j, w, body)
 		switch out.kind {
-		case outcomeDone:
-			c.finish(j, out.result.Results)
-			return
-		case outcomeTerminal:
-			c.fail(j, out.msg)
-			return
+		case outcomeBound:
+			return out.o
 		case outcomeWorkerLost:
 			// If the dead worker's last status carried a decision record,
 			// the job's outcome is already committed: complete from it
 			// instead of re-placing. The retry is a no-op — no attempt is
 			// consumed and no other worker re-explores.
-			if c.completeFromDecision(j) {
-				return
+			if o, ok := c.decided(j); ok {
+				return o
 			}
 			c.met.retries.Add(1)
 			c.reg.noteRetried(w.ID)
@@ -97,11 +156,10 @@ func (c *Coordinator) run(j *Job) {
 			attempts := j.attempts
 			j.mu.Unlock()
 			if attempts >= c.cfg.MaxAttempts {
-				c.fail(j, fmt.Sprintf("gave up after %d placements (last worker %s: %s)",
+				return failure(fmt.Sprintf("gave up after %d placements (last worker %s: %s)",
 					attempts, w.ID, out.msg))
-				return
 			}
-			c.sleep(bo.Next(0), j)
+			c.sleep(bo.Next(0), ctx)
 		case outcomeSaturated:
 			// The Retry-After window belongs to the worker, not the job: mark
 			// the worker saturated for that long and re-place immediately —
@@ -117,7 +175,7 @@ func (c *Coordinator) run(j *Job) {
 // pickWorker selects the next placement target: live workers the job has
 // not been lost on, preferring ones outside a 429 backoff window. False
 // means nothing is eligible right now and the caller should wait.
-func (c *Coordinator) pickWorker(j *Job) (WorkerView, bool) {
+func (c *remote) pickWorker(j *Job) (WorkerView, bool) {
 	live := c.reg.live(time.Now())
 	if len(live) == 0 {
 		return WorkerView{}, false
@@ -154,16 +212,16 @@ func (c *Coordinator) pickWorker(j *Job) (WorkerView, bool) {
 // shipAndTrack performs one placement: POST the job to the worker, then
 // poll it to a terminal state, re-classifying every failure into one of
 // the outcome kinds above.
-func (c *Coordinator) shipAndTrack(j *Job, w WorkerView) shipOutcome {
+func (c *remote) shipAndTrack(j *Job, w WorkerView, body []byte) shipOutcome {
 	c.reg.noteShipped(w.ID)
-	c.emit(trace.Event{Cycle: c.met.sinceMicros(), Kind: trace.KindShip,
+	c.host.Emit(trace.Event{Cycle: c.host.Micros(), Kind: trace.KindShip,
 		Proc: w.Index, From: -1, Label: j.id + "→" + w.ID})
 
-	// The calls are not bound to c.ctx: one in flight at shutdown runs to
-	// its answer or to the client's timeout, and shutdown is noticed
-	// between polls, so it never reads as a lost worker.
+	// The calls are not bound to the host's lifetime: one in flight at
+	// shutdown runs to its answer or to the client's timeout, and shutdown
+	// is noticed between polls, so it never reads as a lost worker.
 	wc := serve.NewClient[serve.JobStatus](w.Addr, c.http)
-	remote, err := wc.Submit(context.Background(), j.body)
+	remote, err := wc.Submit(context.Background(), body)
 	if err != nil {
 		var ae *serve.APIError
 		switch {
@@ -173,7 +231,7 @@ func (c *Coordinator) shipAndTrack(j *Job, w WorkerView) shipOutcome {
 		case ae.Kind == serve.ErrRejected:
 			// The worker rejected a request the coordinator validated —
 			// version skew. No other worker will accept it either.
-			return shipOutcome{kind: outcomeTerminal, msg: "worker rejected job: " + ae.Msg}
+			return failed("worker rejected job: " + ae.Msg)
 		}
 		c.consumeAttempt(j, w)
 		return shipOutcome{kind: outcomeWorkerLost, msg: "submit: " + err.Error()}
@@ -190,11 +248,11 @@ func (c *Coordinator) shipAndTrack(j *Job, w WorkerView) shipOutcome {
 	for {
 		select {
 		case <-time.After(c.cfg.PollInterval):
-		case <-c.ctx.Done():
-			return shipOutcome{kind: outcomeTerminal, msg: "coordinator shut down"}
+		case <-c.host.Stopped():
+			return failed("coordinator shut down")
 		}
-		if time.Now().After(j.deadline) {
-			return shipOutcome{kind: outcomeTerminal, msg: "deadline exceeded before completion"}
+		if j.t.Context().Err() != nil {
+			return failed("deadline exceeded before completion")
 		}
 		st, err := wc.Status(context.Background(), remote.ID)
 		if err != nil {
@@ -222,14 +280,14 @@ func (c *Coordinator) shipAndTrack(j *Job, w WorkerView) shipOutcome {
 		switch st.State {
 		case serve.StateDone:
 			c.reg.noteCompleted(w.ID)
-			c.emit(trace.Event{Cycle: c.met.sinceMicros(), Kind: trace.KindDeliver,
+			c.host.Emit(trace.Event{Cycle: c.host.Micros(), Kind: trace.KindDeliver,
 				Proc: w.Index, From: -1,
 				Arg: time.Since(shippedAt).Microseconds(), Label: j.id})
-			return shipOutcome{kind: outcomeDone, result: &st}
+			return shipOutcome{kind: outcomeBound, o: serve.Outcome{State: serve.StateDone, Results: st.Results}}
 		case serve.StateError:
 			// A live worker reporting failure is deterministic — the job
 			// itself is bad, and re-running it elsewhere would fail too.
-			return shipOutcome{kind: outcomeTerminal, msg: "worker " + w.ID + ": " + st.Error}
+			return failed("worker " + w.ID + ": " + st.Error)
 		}
 	}
 }
@@ -238,7 +296,7 @@ func (c *Coordinator) shipAndTrack(j *Job, w WorkerView) shipOutcome {
 // coordinator's side of the fence: once in memory (first reason wins) and
 // once in the coordinator's own WAL, durable before the poll loop moves
 // on. From then on the job can complete without the worker.
-func (c *Coordinator) harvestDecision(j *Job, note *serve.DecisionNote) {
+func (c *remote) harvestDecision(j *Job, note *serve.DecisionNote) {
 	if !j.life.NoteDecision(note.Reason, note.Data) {
 		return
 	}
@@ -246,91 +304,40 @@ func (c *Coordinator) harvestDecision(j *Job, note *serve.DecisionNote) {
 	c.met.decisionsHarvested.Add(1)
 }
 
-// completeFromDecision finishes a job directly from its harvested (or
-// replayed) decision record, when the record alone determines the result.
-// True means the job is terminal and the placement loop must stop.
-func (c *Coordinator) completeFromDecision(j *Job) bool {
+// decided is the outcome a job's harvested (or replayed) decision record
+// fixes, when the record alone determines the result; counted before the
+// outcome is visible, like every other side effect.
+func (c *remote) decided(j *Job) (serve.Outcome, bool) {
 	note := j.life.Snapshot().Decision
 	if note == nil || j.req.Type != serve.JobSearch || note.Reason != jobs.ReasonShortCircuit {
-		return false
+		return serve.Outcome{}, false
 	}
 	res, err := jobs.SearchResultFromDecision(note.Reason, note.Data)
 	if err != nil {
 		// An undecodable record can't seed a result; fall back to normal
 		// placement rather than wedging the job.
-		return false
+		return serve.Outcome{}, false
 	}
-	// Counted before the outcome is visible, like every other side effect.
 	c.met.decisionCompletions.Add(1)
-	c.finish(j, serve.Results{Search: res})
-	return true
+	return serve.Outcome{State: serve.StateDone, Results: serve.Results{Search: res}}, true
 }
 
 // consumeAttempt charges one placement against the job's attempt bound and
 // records the target, so JobView shows where the job is (or last was).
-func (c *Coordinator) consumeAttempt(j *Job, w WorkerView) {
+func (c *remote) consumeAttempt(j *Job, w WorkerView) {
 	j.mu.Lock()
 	j.attempts++
 	j.workerID = w.ID
-	j.workerIndex = w.Index
 	j.mu.Unlock()
 }
 
-// finish binds terminal success.
-func (c *Coordinator) finish(j *Job, res serve.Results) {
-	c.met.done.Add(1)
-	c.met.observeLatency(time.Since(j.life.Submitted()))
-	c.bind(j, serve.Outcome{State: serve.StateDone, Results: res})
-}
-
-// fail binds terminal failure.
-func (c *Coordinator) fail(j *Job, msg string) {
-	c.met.failed.Add(1)
-	c.bind(j, serve.Outcome{State: serve.StateError, Err: msg})
-}
-
-// bind binds j's outcome after the coordinator's side effects: the
-// ledger's content key is released, then the terminal record is appended
-// and applied; its fsync wait runs once the outcome is visible. A failure
-// while the coordinator itself is going down is not journaled: the job
-// stays incomplete in the log, so the next start re-places it like any
-// other crash orphan. Only the job's own run loop binds it once queued, so
-// ErrBound cannot occur.
-func (c *Coordinator) bind(j *Job, o serve.Outcome) {
-	_ = j.life.Bind(o, func(o serve.Outcome) func() {
-		c.mu.Lock()
-		c.ledger.ReleaseContent(j.id)
-		c.mu.Unlock()
-		switch {
-		case c.cfg.Store == nil:
-		case o.State != serve.StateDone:
-			if c.ctx.Err() == nil {
-				return c.cfg.Store.Finish(j.id, nil, o.Err)
-			}
-		default:
-			// The done record is the job's final status: what replay
-			// restores and answers polls with.
-			st := serve.JobStatus{ID: j.id, Type: j.req.Type, State: o.State, Results: o.Results}
-			if data, err := json.Marshal(st); err == nil {
-				return c.cfg.Store.Finish(j.id, data, "")
-			}
-		}
-		return nil
-	})
-}
-
-// sleep waits for d, cut short by coordinator shutdown and never past the
-// job's deadline (the loop re-checks both on wake).
-func (c *Coordinator) sleep(d time.Duration, j *Job) {
-	if rem := time.Until(j.deadline); d > rem {
-		d = rem
-	}
-	if d <= 0 {
-		return
-	}
+// sleep waits for d, cut short by the job's deadline or coordinator
+// shutdown (the loop re-checks both on wake).
+func (c *remote) sleep(d time.Duration, ctx context.Context) {
 	select {
 	case <-time.After(d):
-	case <-c.ctx.Done():
+	case <-ctx.Done():
+	case <-c.host.Stopped():
 	}
 }
 

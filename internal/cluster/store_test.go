@@ -124,7 +124,7 @@ func TestCoordinatorDedupSameSubmission(t *testing.T) {
 		t.Fatalf("duplicate submissions got %s and %s", a.id, b.id)
 	}
 	waitTerminal(t, a, 30*time.Second)
-	if got := c.pending.Load(); got != 0 {
+	if got := c.Metrics().Pending; got != 0 {
 		t.Errorf("pending = %d after completion, want 0 (dedup leaked a slot)", got)
 	}
 }

@@ -101,7 +101,12 @@ func (c *Client[S]) Stream(ctx context.Context, id string) (io.ReadCloser, error
 // Metrics decodes the daemon's /metrics document into out
 // (*MetricsSnapshot for motifd, *cluster.MetricsSnapshot for motifctl).
 func (c *Client[S]) Metrics(ctx context.Context, out any) error {
-	resp, err := c.do(ctx, http.MethodGet, "/metrics", nil, http.StatusOK)
+	return c.Get(ctx, "/metrics", out)
+}
+
+// Get decodes the JSON document the daemon answers GET path with into out.
+func (c *Client[S]) Get(ctx context.Context, path string, out any) error {
+	resp, err := c.do(ctx, http.MethodGet, path, nil, http.StatusOK)
 	if err != nil {
 		return err
 	}

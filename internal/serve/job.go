@@ -172,30 +172,13 @@ const (
 	StatePreempted State = "preempted"
 )
 
-// Job is one admitted request moving through the pool.
+// Job is motifd's job: the host's task plus where the pool ran it.
 type Job struct {
-	id  string
-	req JobRequest
-
-	// key is the request's content digest (valid when hasKey): the
-	// singleflight identity at submission and the fill key on completion.
-	key    memo.Key
-	hasKey bool
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// life holds the job's state, timing, decision and outcome.
-	// Unexported: only Server.bind binds it.
-	life *Lifecycle
+	*Task[*Job]
 
 	mu        sync.Mutex
 	worker    int
 	batchSize int
-
-	// stream carries a pipeline job's records to GET /v1/jobs/{id}/stream
-	// readers as they are produced; nil for non-pipeline jobs.
-	stream *recordStream
 
 	// testBody, when non-nil, replaces the job body. Tests use it to hold
 	// a worker busy deterministically.

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/memo"
 )
@@ -190,13 +189,4 @@ func (l *Ledger[J]) Newest(n int) []J {
 		}
 	}
 	return out
-}
-
-// TimeoutFor resolves a request's budget: its deadline_ms capped at
-// limit, or def when it carries none.
-func TimeoutFor(req *JobRequest, def, limit time.Duration) time.Duration {
-	if req.DeadlineMillis <= 0 {
-		return def
-	}
-	return min(time.Duration(req.DeadlineMillis)*time.Millisecond, limit)
 }

@@ -93,9 +93,9 @@ func watchTerminal(t *testing.T, s *Server, js *store.JobStore, id string, cache
 				if v, _ := s.memo.Peek(j.key); cacheable && st.State == StateDone && v == nil {
 					t.Errorf("%s visible as done before its memo fill", id)
 				}
-				s.mu.Lock()
-				bound := s.ledger.byContent[j.key] == id
-				s.mu.Unlock()
+				s.host.mu.Lock()
+				bound := s.host.ledger.byContent[j.key] == id
+				s.host.mu.Unlock()
 				if bound {
 					t.Errorf("%s visible as %s with its content key still bound", id, st.State)
 				}

@@ -67,6 +67,26 @@ func TestSubmitAnswersFromJobCache(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
+// TestAdmittedCountsCacheAnswers: a submission answered from the job cache
+// gets an id like a queued one, and /metrics counts it as admitted, so
+// admitted + shed is the number of ids handed out (perfbench reads a
+// worker's new jobs by that count).
+func TestAdmittedCountsCacheAnswers(t *testing.T) {
+	s := New(Config{Workers: 1, MemoBytes: 1 << 22})
+	defer shutdownServer(t, s)
+	first, err := s.Submit(alignReqMemo(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, first.id)
+	if _, err := s.Submit(alignReqMemo(5)); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.MemoJobHits != 1 || m.Admitted != 2 {
+		t.Fatalf("memo_job_hits = %d, admitted = %d; want 1 and 2", m.MemoJobHits, m.Admitted)
+	}
+}
+
 // TestSubmitCollapsesIdenticalInflight: while a job is queued, an
 // identical submission attaches to it instead of executing twice.
 func TestSubmitCollapsesIdenticalInflight(t *testing.T) {

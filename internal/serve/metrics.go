@@ -14,39 +14,61 @@ import (
 )
 
 // latencyBoundsMicros buckets end-to-end job latencies (admission →
-// completion) from 100µs to 10s.
+// completion) from 100µs to 30s: a cluster job's ship round trips and
+// retries reach past a local one's.
 var latencyBoundsMicros = []int64{
 	100, 250, 500,
 	1_000, 2_500, 5_000,
 	10_000, 25_000, 50_000,
 	100_000, 250_000, 500_000,
-	1_000_000, 2_500_000, 5_000_000, 10_000_000,
+	1_000_000, 2_500_000, 5_000_000, 10_000_000, 30_000_000,
 }
 
-// poolMetrics aggregates the serving layer's counters: admission outcomes,
-// end-to-end latency, batching, and per-worker busy/idle accounting.
-type poolMetrics struct {
-	start time.Time
-
+// counters is a host's admission and outcome accounting.
+type counters struct {
 	admitted  atomic.Int64
 	shed      atomic.Int64
 	preempted atomic.Int64 // queued jobs evicted for higher-class arrivals
 	rejected  atomic.Int64 // malformed requests (400s)
 	deduped   atomic.Int64 // resubmissions answered from the dedup table
 	collapsed atomic.Int64 // submissions attached to an identical in-flight job
-	memoHits  atomic.Int64 // submissions answered from the job-level memo cache
+	cacheHits atomic.Int64 // submissions answered from the executor's cache
 	done      atomic.Int64
 	failed    atomic.Int64
-	inflight  atomic.Int64
+
+	mu      sync.Mutex
+	latency *metrics.Histogram
+}
+
+func (m *counters) observeLatency(d time.Duration) {
+	m.mu.Lock()
+	m.latency.Observe(d.Microseconds())
+	m.mu.Unlock()
+}
+
+func (m *counters) latencySummary() LatencySummary {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return LatencySummary{
+		Count:  m.latency.Count(),
+		MeanMS: m.latency.Mean() / 1000,
+		P50MS:  m.latency.Quantile(0.50) / 1000,
+		P95MS:  m.latency.Quantile(0.95) / 1000,
+		P99MS:  m.latency.Quantile(0.99) / 1000,
+		MaxMS:  float64(m.latency.Max()) / 1000,
+	}
+}
+
+// poolMetrics is the skeleton pool's accounting: batching, per-worker
+// busy/idle time and the motif job types' outcomes.
+type poolMetrics struct {
+	inflight atomic.Int64
 
 	batchDispatches atomic.Int64
 	batchedJobs     atomic.Int64
 	maxBatch        atomic.Int64
 
 	motif motifMetrics
-
-	mu      sync.Mutex
-	latency *metrics.Histogram
 
 	workers []workerStat
 }
@@ -61,35 +83,21 @@ type workerStat struct {
 }
 
 func newPoolMetrics(workers int) *poolMetrics {
-	return &poolMetrics{
-		start:   time.Now(),
-		latency: metrics.NewHistogram(latencyBoundsMicros...),
-		workers: make([]workerStat, workers),
-	}
+	return &poolMetrics{workers: make([]workerStat, workers)}
 }
 
-// sinceMicros is the wall clock of the pool, in microseconds since start —
-// the Cycle domain of every trace event the pool emits.
-func (m *poolMetrics) sinceMicros() int64 { return time.Since(m.start).Microseconds() }
-
-func (m *poolMetrics) observeLatency(d time.Duration) {
-	m.mu.Lock()
-	m.latency.Observe(d.Microseconds())
-	m.mu.Unlock()
-}
-
-func (m *poolMetrics) workerBusy(w int) {
-	now := m.sinceMicros()
+// workerBusy and workerIdle take the host clock's now (µs since start).
+func (m *poolMetrics) workerBusy(w int, now int64) {
 	if now == 0 {
 		now = 1 // 0 means idle; never record a zero busy-start
 	}
 	m.workers[w].busySince.Store(now)
 }
 
-func (m *poolMetrics) workerIdle(w int) {
+func (m *poolMetrics) workerIdle(w int, now int64) {
 	since := m.workers[w].busySince.Swap(0)
 	if since > 0 {
-		m.workers[w].busyMicros.Add(m.sinceMicros() - since)
+		m.workers[w].busyMicros.Add(now - since)
 	}
 }
 
@@ -218,28 +226,38 @@ type WorkerSummary struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// MetricsSnapshot is the /metrics JSON document.
+// HostMetrics is a host's block of its daemon's /metrics document, keys
+// in place: motifd's and motifctl's alike.
+type HostMetrics struct {
+	UptimeMS  float64 `json:"uptime_ms"`
+	Shed      int64   `json:"shed"`
+	Preempted int64   `json:"preempted"`
+	Rejected  int64   `json:"rejected"`
+	Deduped   int64   `json:"deduped"`
+	Collapsed int64   `json:"collapsed"`
+	// Done, Failed and Latency count outcomes, not refusals.
+	Done        int64          `json:"done"`
+	Failed      int64          `json:"failed"`
+	Latency     LatencySummary `json:"latency"`
+	TraceEvents int64          `json:"trace_events"`
+	// Store is the durability block; absent when no store is configured.
+	Store *store.MetricsSnapshot `json:"store,omitempty"`
+	// QoS is the tenant-aware admission block: scheduling mode, per-tenant
+	// admitted/shed/preempted counts, queue depths, and wait percentiles.
+	QoS *qos.Snapshot `json:"qos,omitempty"`
+}
+
+// MetricsSnapshot is motifd's /metrics JSON document.
 type MetricsSnapshot struct {
-	UptimeMS      float64         `json:"uptime_ms"`
+	HostMetrics
 	Workers       int             `json:"workers"`
 	QueueDepth    int             `json:"queue_depth"`
 	QueueCapacity int             `json:"queue_capacity"`
 	Admitted      int64           `json:"admitted"`
-	Shed          int64           `json:"shed"`
-	Preempted     int64           `json:"preempted"`
-	Rejected      int64           `json:"rejected"`
-	Deduped       int64           `json:"deduped"`
-	Collapsed     int64           `json:"collapsed"`
 	MemoJobHits   int64           `json:"memo_job_hits"`
-	Done          int64           `json:"done"`
-	Failed        int64           `json:"failed"`
 	Inflight      int64           `json:"inflight"`
-	Latency       LatencySummary  `json:"latency"`
 	PerWorker     []WorkerSummary `json:"per_worker"`
 	Batch         BatchSummary    `json:"batch"`
-	TraceEvents   int64           `json:"trace_events"`
-	// Store is the durability block; absent when no store is configured.
-	Store *store.MetricsSnapshot `json:"store,omitempty"`
 	// Memo is the content-addressed cache block; absent when memoization
 	// is disabled.
 	Memo *memo.StatsSnapshot `json:"memo,omitempty"`
@@ -250,9 +268,6 @@ type MetricsSnapshot struct {
 	// Pipeline is the per-stage streaming-pipeline block; absent until a
 	// pipeline job has run.
 	Pipeline *pipeline.MetricsSnapshot `json:"pipeline,omitempty"`
-	// QoS is the tenant-aware admission block: scheduling mode, per-tenant
-	// admitted/shed/preempted counts, queue depths, and wait percentiles.
-	QoS *qos.Snapshot `json:"qos,omitempty"`
 	// Motif is the per-type block for the search/grid/sort job types;
 	// absent until one of them has run.
 	Motif *MotifSnapshot `json:"motif,omitempty"`
@@ -265,19 +280,8 @@ type BatchSummary struct {
 	MaxBatch    int64 `json:"max_batch"`
 }
 
-func (m *poolMetrics) snapshot(queueDepth, queueCap int, traceEvents int64, storeSnap *store.MetricsSnapshot, memoSnap *memo.StatsSnapshot, pipeSnap *pipeline.MetricsSnapshot, qosSnap *qos.Snapshot) MetricsSnapshot {
-	uptime := m.sinceMicros()
-	m.mu.Lock()
-	lat := LatencySummary{
-		Count:  m.latency.Count(),
-		MeanMS: m.latency.Mean() / 1000,
-		P50MS:  m.latency.Quantile(0.50) / 1000,
-		P95MS:  m.latency.Quantile(0.95) / 1000,
-		P99MS:  m.latency.Quantile(0.99) / 1000,
-		MaxMS:  float64(m.latency.Max()) / 1000,
-	}
-	m.mu.Unlock()
-
+func (m *poolMetrics) snapshot(c Counts, memoSnap *memo.StatsSnapshot, pipeSnap *pipeline.MetricsSnapshot) MetricsSnapshot {
+	uptime := int64(c.UptimeMS * 1000)
 	per := make([]WorkerSummary, len(m.workers))
 	for w := range m.workers {
 		busy := m.workers[w].busyMicros.Load()
@@ -298,32 +302,21 @@ func (m *poolMetrics) snapshot(queueDepth, queueCap int, traceEvents int64, stor
 		}
 	}
 	return MetricsSnapshot{
-		UptimeMS:      float64(uptime) / 1000,
+		HostMetrics:   c.HostMetrics,
 		Workers:       len(m.workers),
-		QueueDepth:    queueDepth,
-		QueueCapacity: queueCap,
-		Admitted:      m.admitted.Load(),
-		Shed:          m.shed.Load(),
-		Preempted:     m.preempted.Load(),
-		Rejected:      m.rejected.Load(),
-		Deduped:       m.deduped.Load(),
-		Collapsed:     m.collapsed.Load(),
-		MemoJobHits:   m.memoHits.Load(),
-		Done:          m.done.Load(),
-		Failed:        m.failed.Load(),
+		QueueDepth:    c.QueueDepth,
+		QueueCapacity: c.QueueCap,
+		Admitted:      c.Admitted,
+		MemoJobHits:   c.CacheHits,
 		Inflight:      m.inflight.Load(),
-		Latency:       lat,
 		PerWorker:     per,
 		Batch: BatchSummary{
 			Dispatches:  m.batchDispatches.Load(),
 			BatchedJobs: m.batchedJobs.Load(),
 			MaxBatch:    m.maxBatch.Load(),
 		},
-		TraceEvents: traceEvents,
-		Store:       storeSnap,
-		Memo:        memoSnap,
-		Pipeline:    pipeSnap,
-		QoS:         qosSnap,
-		Motif:       m.motif.snapshot(),
+		Memo:     memoSnap,
+		Pipeline: pipeSnap,
+		Motif:    m.motif.snapshot(),
 	}
 }

@@ -3,33 +3,82 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/memo"
 	"repro/internal/pipeline"
 	"repro/internal/skel"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
-// worker is one pool worker's main loop: pull a job, opportunistically
-// drain more queued work, execute, repeat until the queue is closed and
-// drained. Every transition is narrated into the trace ring with the same
-// event vocabulary as the simulated machine (Cycle = µs since pool start).
-func (s *Server) worker(w int) {
-	defer s.workerWG.Done()
-	for {
-		j, ok := s.q.pop(true)
-		if !ok {
-			return
-		}
-		batch := s.gather(j)
-		s.met.workerBusy(w)
-		s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindBusy, Proc: w, From: -1})
-		s.runBatch(w, batch)
-		s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindIdle, Proc: w, From: -1})
-		s.met.workerIdle(w)
+// local is motifd's executor, the skeleton pool: the Server seen through
+// the Executor interface. Each dispatch loop is one pool worker.
+type local Server
+
+// Key is the request's content digest when the memo layer is on: motifd
+// collapses identical live submissions and answers finished ones from the
+// memo.
+func (s *local) Key(req *JobRequest) (memo.Key, bool) {
+	if s.memo == nil {
+		return memo.Key{}, false
 	}
+	return ContentKey(req)
+}
+
+// Cached answers a submission from the job-level memo.
+func (s *local) Cached(key memo.Key) (Results, bool) {
+	v, _ := s.memo.Get(key)
+	blob, _ := v.(memo.Bytes)
+	return memoResults(blob)
+}
+
+// Fill publishes a success under its content digest, so identical
+// submissions answer without queueing.
+func (s *local) Fill(key memo.Key, res Results) {
+	if blob := memoPayload(res); blob != nil {
+		s.memo.Put(key, blob)
+	}
+}
+
+// Job builds motifd's job. A live pipeline job gets its record stream
+// before it is published, since a client may open GET
+// /v1/jobs/{id}/stream the moment the 202 lands; a replayed one resumes
+// from its WAL checkpoints, its stream replaying the completed prefix.
+func (s *local) Job(t *Task[*Job], _ *store.JobState) *Job {
+	if t.req.Type == JobPipeline && t.life.Live() {
+		t.stream = newRecordStream()
+	}
+	return &Job{Task: t, worker: -1}
+}
+
+// Run is one pool worker's dispatch: the job it pulled, opportunistically
+// more queued work, executed. Every transition is narrated into the trace
+// ring with the same event vocabulary as the simulated machine.
+func (s *local) Run(w int, j *Job) {
+	batch := s.gather(j)
+	s.met.workerBusy(w, s.host.Micros())
+	s.host.Emit(trace.Event{Cycle: s.host.Micros(), Kind: trace.KindBusy, Proc: w, From: -1})
+	s.runBatch(w, batch)
+	s.host.Emit(trace.Event{Cycle: s.host.Micros(), Kind: trace.KindIdle, Proc: w, From: -1})
+	s.met.workerIdle(w, s.host.Micros())
+}
+
+// View is the job's status.
+func (s *local) View(j *Job, full bool) any {
+	st := j.Status()
+	if !full {
+		st.Results = Results{}
+	}
+	return st
+}
+
+// Chrome replays the ring into the Chrome exporter, so the stream opens
+// directly in chrome://tracing / Perfetto.
+func (s *local) Chrome(w http.ResponseWriter, events []trace.Event) {
+	WriteChrome(w, "motifd-trace.json", events)
 }
 
 // gather collects the dispatch for one worker wake-up: the job it pulled
@@ -37,16 +86,17 @@ func (s *Server) worker(w int) {
 // more jobs drained from the queue without blocking. The drain only finds
 // work when every worker is busy (an idle worker would have been handed
 // the job directly), which is exactly when amortizing dispatches matters.
-func (s *Server) gather(first *Job) []*Job {
+func (s *local) gather(first *Job) []*Job {
 	batch := []*Job{first}
 	if !s.batchable(first) {
 		return batch
 	}
 	for len(batch) < s.cfg.BatchMax {
-		j, ok := s.q.pop(false)
+		t, ok := s.host.pop(false)
 		if !ok {
 			return batch
 		}
+		j := t.job
 		batch = append(batch, j)
 		if !s.batchable(j) {
 			// Keep draining only while the tail stays batchable; a big
@@ -59,14 +109,14 @@ func (s *Server) gather(first *Job) []*Job {
 
 // batchable reports whether j is a small alignment job — the class the
 // serving layer coalesces into one farm dispatch.
-func (s *Server) batchable(j *Job) bool {
-	return j.req.Type == JobAlign && j.req.Align.Cost() <= s.cfg.BatchCostMax
+func (s *local) batchable(j *Job) bool {
+	return j.req.Type == JobAlign && j.req.Align.Cost() <= batchCostMax
 }
 
 // runBatch executes a dispatch on worker w. The batchable alignment jobs
 // run as one farm dispatch (skel.Farm over the jobs); anything else in the
 // dispatch runs individually after.
-func (s *Server) runBatch(w int, batch []*Job) {
+func (s *local) runBatch(w int, batch []*Job) {
 	var aligns, rest []*Job
 	for _, j := range batch {
 		if s.batchable(j) {
@@ -98,8 +148,7 @@ func (s *Server) runBatch(w int, batch []*Job) {
 }
 
 // runJob moves one job through running → done/error on worker w.
-func (s *Server) runJob(w int, j *Job, batchSize int) {
-	defer j.cancel()
+func (s *local) runJob(w int, j *Job, batchSize int) {
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
 
@@ -109,7 +158,7 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 	j.mu.Unlock()
 	if err := j.ctx.Err(); err != nil {
 		// Deadline spent entirely in the queue: fail without running.
-		s.bind(j, Outcome{State: StateError, Err: "deadline exceeded while queued"})
+		s.host.Bind(j.Task, Outcome{State: StateError, Err: "deadline exceeded while queued"})
 		return
 	}
 	if !j.life.Start() {
@@ -117,7 +166,7 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 	}
 	start := time.Now()
 
-	s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindExecStart,
+	s.host.Emit(trace.Event{Cycle: s.host.Micros(), Kind: trace.KindExecStart,
 		Proc: w, From: -1, Label: string(j.req.Type) + ":" + j.id})
 
 	res, cached := s.resolveFromCache(j)
@@ -139,16 +188,16 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 	s.cfg.Store.NoteCheckpointHits(resumed)
 	// Feed the admission scheduler's drain-time estimate (Retry-After on
 	// sheds) with the observed service time.
-	s.q.sched.ObserveDone(j.req.Tenant, dur)
+	s.host.ObserveDone(j.req.Tenant, dur)
 
-	s.emit(trace.Event{Cycle: s.met.sinceMicros(), Kind: trace.KindExecFinish,
+	s.host.Emit(trace.Event{Cycle: s.host.Micros(), Kind: trace.KindExecFinish,
 		Proc: w, From: -1, Arg: dur.Microseconds(), Label: string(j.req.Type) + ":" + j.id})
 	s.met.workers[w].jobs.Add(1)
 	o := Outcome{State: StateDone, Results: res}
 	if err != nil {
 		o = Outcome{State: StateError, Err: err.Error()}
 	}
-	s.bind(j, o)
+	s.host.Bind(j.Task, o)
 }
 
 // resolveFromCache answers a running job from the content-addressed tier
@@ -157,7 +206,7 @@ func (s *Server) runJob(w int, j *Job, batchSize int) {
 // entry (memoshare fetch, checksum-verified on receipt, filled locally by
 // the fetcher). Reads the local cache through Peek so the re-check doesn't
 // double-count the miss already recorded at admission. False means compute.
-func (s *Server) resolveFromCache(j *Job) (Results, bool) {
+func (s *local) resolveFromCache(j *Job) (Results, bool) {
 	if s.memo == nil || !j.hasKey {
 		return Results{}, false
 	}
@@ -174,7 +223,7 @@ func (s *Server) resolveFromCache(j *Job) (Results, bool) {
 // the WAL and job identity (stage-boundary checkpoints), the server-wide
 // pipeline metrics registry, the trace ring on the pool's clock, and the
 // job's NDJSON stream as the record sink. Nil for other job types.
-func (s *Server) pipelineEnv(j *Job) *pipeline.Env {
+func (s *local) pipelineEnv(j *Job) *pipeline.Env {
 	if j.req.Type != JobPipeline {
 		return nil
 	}
@@ -184,8 +233,8 @@ func (s *Server) pipelineEnv(j *Job) *pipeline.Env {
 		Store:       s.cfg.Store,
 		JobID:       j.id,
 		Metrics:     s.pipe,
-		Tracer:      s.ring,
-		TraceMicros: s.met.sinceMicros,
+		Tracer:      s.host.ring,
+		TraceMicros: s.host.Micros,
 		Tenant:      j.req.Tenant,
 	}
 	if stream := j.stream; stream != nil {
@@ -207,7 +256,7 @@ func (s *Server) pipelineEnv(j *Job) *pipeline.Env {
 // signal fans out; it also surfaces the decision on the job status so a
 // cluster coordinator polling this worker can harvest it. Nil for other
 // job types.
-func (s *Server) motifEnv(j *Job) *jobs.Env {
+func (s *local) motifEnv(j *Job) *jobs.Env {
 	switch j.req.Type {
 	case JobSearch, JobGrid, JobSort:
 	default:
@@ -249,65 +298,6 @@ func (s *Server) motifEnv(j *Job) *jobs.Env {
 	return env
 }
 
-// bind binds j's outcome through motifd's terminal side effects. A job
-// refused while it ran is already bound; its worker's Bind then changes
-// nothing, so ErrBound needs no handling here.
-func (s *Server) bind(j *Job, o Outcome) {
-	_ = j.life.Bind(o, func(o Outcome) func() { return s.settle(j, o) })
-}
-
-// settle runs j's terminal side effects before its outcome is visible:
-// count it, fill the memo with a cacheable success, release the ledger's
-// content key, then append the terminal record and apply it to the
-// store. It returns what follows publication: the record's fsync wait,
-// then the NDJSON stream's EOF, so a client that sees EOF can poll the
-// final status at once.
-func (s *Server) settle(j *Job, o Outcome) (after func()) {
-	switch o.State {
-	case StateDone:
-		s.met.done.Add(1)
-	case StateError:
-		s.met.failed.Add(1)
-	}
-	if o.State != StatePreempted {
-		s.met.observeLatency(time.Since(j.life.Submitted()))
-	}
-	if j.hasKey {
-		// Publish a success under its content digest so future identical
-		// submissions answer without queueing, then retire the
-		// singleflight entry.
-		if o.State == StateDone {
-			if blob := memoPayload(o.Results); blob != nil {
-				s.memo.Put(j.key, blob)
-			}
-		}
-		s.mu.Lock()
-		s.ledger.ReleaseContent(j.id)
-		s.mu.Unlock()
-	}
-	durable := func() {}
-	if s.cfg.Store != nil {
-		if o.State != StateDone {
-			durable = s.cfg.Store.Finish(j.id, nil, o.Err)
-		} else if data, err := json.Marshal(j.final(o)); err == nil {
-			durable = s.cfg.Store.Finish(j.id, data, "")
-		}
-	}
-	return func() {
-		durable()
-		if j.stream != nil {
-			j.stream.close()
-		}
-	}
-}
-
-// final is the status j shows once o is bound: its WAL done record.
-func (j *Job) final(o Outcome) JobStatus {
-	st := j.Status()
-	st.State, st.Error, st.Results = o.State, o.Err, o.Results
-	return st
-}
-
 // reduceOpts are the skeleton options every job body runs with: the inner
 // parallelism of one job's reduction. Workers-per-job times pool workers
 // can exceed GOMAXPROCS; the Go scheduler time-slices, and the farm/tree
@@ -317,7 +307,7 @@ func (j *Job) final(o Outcome) JobStatus {
 // subtree value and restore whatever the log already holds: the tree is
 // deterministic from its spec, so a preorder node index identifies the
 // same subtree across restarts.
-func (s *Server) reduceOpts(j *Job) skel.ReduceOptions {
+func (s *local) reduceOpts(j *Job) skel.ReduceOptions {
 	opts := skel.ReduceOptions{
 		Workers: s.cfg.InnerWorkers,
 		Mapper:  skel.MapRandom,
@@ -352,14 +342,7 @@ func (s *Server) reduceOpts(j *Job) skel.ReduceOptions {
 	return opts
 }
 
-// emit writes one event to the trace ring.
-func (s *Server) emit(e trace.Event) {
-	if s.ring != nil {
-		s.ring.Event(e)
-	}
-}
-
-// batchCostDefault is the default threshold below which an alignment job
-// counts as "small": a synthetic family of 12 sequences of length 100
-// (12*100*100) sits just under it.
-const batchCostDefault = 12*100*100 + 1
+// batchCostMax is the AlignJob.Cost threshold below which an alignment
+// job counts as "small" and batches: a synthetic family of 12 sequences
+// of length 100 (12*100*100) sits just under it.
+const batchCostMax = 12*100*100 + 1

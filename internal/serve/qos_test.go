@@ -11,9 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/memo"
 )
 
 // treeReq is a small tree job tagged with QoS identity.
@@ -179,27 +176,13 @@ func TestQoSWeightedDrainOrder(t *testing.T) {
 	var jobs []*Job
 	push := func(tenant string) {
 		t.Helper()
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		j := &Job{
-			req:    JobRequest{Type: JobTree, Tree: &TreeSpec{Leaves: 4}, Tenant: tenant},
-			ctx:    ctx,
-			cancel: cancel,
-			life:   NewLifecycle(time.Now()),
-			worker: -1,
-			testBody: func(context.Context) error {
+		j := pushBody(t, s, JobRequest{Type: JobTree, Tree: &TreeSpec{Leaves: 4}, Tenant: tenant},
+			func(context.Context) error {
 				mu.Lock()
 				mu.order = append(mu.order, tenant)
 				mu.Unlock()
 				return nil
-			},
-		}
-		s.mu.Lock()
-		j.id = s.ledger.Admit(j, "", memo.Key{}, false)
-		s.mu.Unlock()
-		if _, err := s.q.tryPush(j); err != nil {
-			cancel()
-			t.Fatalf("push %s: %v", tenant, err)
-		}
+			})
 		jobs = append(jobs, j)
 	}
 	for i := 0; i < 6; i++ {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/bio"
-	"repro/internal/memo"
 )
 
 // settleGoroutines waits for the goroutine count to drop back to at most
@@ -42,24 +41,25 @@ func settleGoroutines(t *testing.T, base int) {
 // never coalesces blockers.
 func submitBody(t *testing.T, s *Server, fn func(ctx context.Context) error) *Job {
 	t.Helper()
+	return pushBody(t, s, JobRequest{Type: JobTree, Tree: &TreeSpec{Leaves: 4}}, fn)
+}
+
+// pushBody admits and queues req with fn as its body, past validation and
+// the journal.
+func pushBody(t *testing.T, s *Server, req JobRequest, fn func(ctx context.Context) error) *Job {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	j := &Job{
-		req:      JobRequest{Type: JobTree, Tree: &TreeSpec{Leaves: 4}},
-		ctx:      ctx,
-		cancel:   cancel,
-		life:     NewLifecycle(time.Now()),
-		worker:   -1,
-		testBody: fn,
-	}
-	s.mu.Lock()
-	j.id = s.ledger.Admit(j, "", memo.Key{}, false)
-	s.mu.Unlock()
-	if _, err := s.q.tryPush(j); err != nil {
+	task := &Task[*Job]{req: req, ctx: ctx, cancel: cancel, life: NewLifecycle(time.Now()), journaled: journaledAlready}
+	s.host.mu.Lock()
+	s.host.admitLocked(task)
+	s.host.mu.Unlock()
+	task.job.testBody = fn
+	if _, err := s.host.sched.Push(task, req.Tenant, req.qosClass()); err != nil {
 		cancel()
-		t.Fatalf("submitBody: %v", err)
+		t.Fatalf("pushBody: %v", err)
 	}
-	s.met.admitted.Add(1)
-	return j
+	s.host.met.admitted.Add(1)
+	return task.job
 }
 
 // blockWorkers occupies n pool workers and returns a release function.
@@ -623,9 +623,9 @@ func TestJobHistoryEviction(t *testing.T) {
 		waitTerminal(t, s, j.id)
 		last = j
 	}
-	s.mu.Lock()
-	stored := len(s.ledger.jobs)
-	s.mu.Unlock()
+	s.host.mu.Lock()
+	stored := len(s.host.ledger.jobs)
+	s.host.mu.Unlock()
 	if stored > 4 {
 		t.Fatalf("history holds %d jobs, want <= 4", stored)
 	}

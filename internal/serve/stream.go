@@ -64,15 +64,16 @@ func (rs *recordStream) next(i int) (line []byte, ok, closed bool, wake <-chan s
 // records while later stages are still running. The stream ends (EOF)
 // when the job reaches a terminal state; a job that failed mid-stream
 // simply truncates, and the client learns the error from GET
-// /v1/jobs/{id}. Terminal jobs — including ones recovered from the WAL
-// after a restart — replay their durable output byte-identically.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+// /v1/jobs/{id}. A job with no live record stream — recovered from the
+// WAL, or run by an executor elsewhere — answers once it is bound, with
+// its durable output, byte-identical to the live stream.
+func (h *Host[J]) handleStream(w http.ResponseWriter, r *http.Request) {
+	t, ok := h.task(r.PathValue("id"))
 	if !ok {
 		WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job id"})
 		return
 	}
-	if j.req.Type != JobPipeline {
+	if t.req.Type != JobPipeline {
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "not a pipeline job"})
 		return
 	}
@@ -80,11 +81,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	flusher, _ := w.(http.Flusher)
 
-	if j.stream == nil {
-		// A terminal job materialized from the store or answered from the
-		// job cache never had a live stream; synthesize one from its
-		// durable output.
-		if pipe := j.life.Results().Pipeline; pipe != nil {
+	if t.stream == nil {
+		select {
+		case <-t.life.Done():
+		case <-r.Context().Done():
+			return
+		}
+		if pipe := t.life.Results().Pipeline; pipe != nil {
 			for i := range pipe.Output {
 				if !writeNDJSONRecord(w, &pipe.Output[i]) {
 					return
@@ -94,7 +97,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i := 0; ; {
-		line, ok, closed, wake := j.stream.next(i)
+		line, ok, closed, wake := t.stream.next(i)
 		if ok {
 			if _, err := w.Write(line); err != nil {
 				return

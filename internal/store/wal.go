@@ -23,7 +23,7 @@ const (
 	frameHeader = 8
 	// maxRecordBytes bounds a single record; anything larger in a segment
 	// is treated as a torn/corrupt frame. Job bodies are already bounded
-	// by the servers' MaxBodyBytes, far below this.
+	// by the job routes' 8 MiB body bound, far below this.
 	maxRecordBytes = 1 << 26
 	// defaultSegmentBytes rotates segments at 1 MiB so compaction has
 	// whole files to drop.
